@@ -89,16 +89,6 @@ impl<'a> EvalCtx<'a> {
         self.trace = Some(Box::new(TraceSink::new()));
     }
 
-    /// Like [`EvalCtx::enable_tracing`] but with coarse timestamps: the
-    /// profiler samples the clock once per traced node invocation instead
-    /// of twice, shrinking the observer effect on deep plans at the price
-    /// of blurring the wall-time split between a parent's self time and
-    /// its next child (counters stay exact; see
-    /// [`TraceSink::is_coarse`]).
-    pub fn enable_coarse_tracing(&mut self) {
-        self.trace = Some(Box::new(TraceSink::new_coarse()));
-    }
-
     /// Stop tracing and return the recorded [`Profile`], or `None` when
     /// tracing was never enabled.
     pub fn take_profile(&mut self) -> Option<Profile> {

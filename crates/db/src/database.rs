@@ -4,163 +4,27 @@
 use crate::catalog::DbCatalog;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
+use crate::pipeline::{self, Plan, ReoptReport, RunOptions, RunState, View};
 use crate::stats::{collect_object_statistics, collect_statistics};
 use excess_core::counters::Counters;
-use excess_core::eval::{evaluate, EvalCtx};
 use excess_core::expr::Expr;
-use excess_core::physical::{evaluate_physical, PhysicalPlan};
+use excess_core::physical::PhysicalPlan;
 use excess_core::profile::Profile;
 use excess_core::verify::Report;
-use excess_exec::{run_parallel, run_parallel_plan, ExecConfig, ExecReport, Tracing};
+use excess_exec::{ExecConfig, ExecReport};
 use excess_lang::ast::{QExpr, QPred, Retrieve, Step, Stmt};
 use excess_lang::ddl::{initial_value, lower_type};
 use excess_lang::methods::{MethodDef, MethodRegistry};
 use excess_lang::translate::{resolve_this, translate_retrieve, TranslateCtx};
 use excess_lang::{parse_program, LangError};
 use excess_optimizer::{
-    annotate_columnar, apply_extent_indexes, apply_extent_indexes_journaled, cost_of,
-    elide_proven_guards, estimate_physical, lower, lower_journaled, JournalStep, MemoSnapshot,
-    Optimizer, OptimizerMode, RewriteJournal, RuleCtx, Statistics, COLUMNAR_RULE, REOPTIMIZE_RULE,
+    apply_extent_indexes, estimate_physical, lower, MemoSnapshot, Optimizer, OptimizerMode,
+    RewriteJournal, RuleCtx, Statistics,
 };
-use excess_telemetry::{fnv1a64, QueryRecord, QueryTrace, Span, Telemetry};
+use excess_telemetry::{QueryTrace, Telemetry};
 use excess_types::{ObjectStore, SchemaType, TypeId, TypeRegistry, Value};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Occurrences in a query result (what the flight recorder reports as
-/// `rows`): multiset cardinality with duplicates, array length, 1 for
-/// scalars and tuples.
-fn value_rows(v: &Value) -> u64 {
-    match v {
-        Value::Set(s) => s.len(),
-        Value::Array(a) => a.len() as u64,
-        _ => 1,
-    }
-}
-
-/// Deterministic fingerprint of a lowered plan: FNV-1a over the debug
-/// rendering (logical tree plus every kernel choice), so the same plan
-/// hashes identically across runs and sessions.
-fn plan_hash_of(plan: &PhysicalPlan) -> u64 {
-    fnv1a64(format!("{plan:?}").as_bytes())
-}
-
-/// The extent a plan node reads: walk the logical tree to the node at
-/// `path` (profiler child indexing) and take the leftmost named object
-/// under it, if any — how feedback observations get attributed to a
-/// concrete [`Statistics`] entry.
-pub(crate) fn extent_at(plan: &Expr, path: &[usize]) -> Option<String> {
-    fn first_named(e: &Expr) -> Option<String> {
-        if let Expr::Named(n) = e {
-            return Some(n.clone());
-        }
-        e.children().into_iter().find_map(first_named)
-    }
-    let mut node = plan;
-    for &i in path {
-        node = *node.children().get(i)?;
-    }
-    first_named(node)
-}
-
-/// One feedback-driven re-optimization: what triggered it, which
-/// statistics were corrected from the observed cardinalities, and how the
-/// re-derived plan compares to the one it replaces.
-#[derive(Debug, Clone)]
-pub struct ReoptReport {
-    /// Label of the query whose plan was re-derived.
-    pub label: String,
-    /// The worst recorded q-error that triggered the re-optimization.
-    pub trigger_q_error: f64,
-    /// The threshold it crossed.
-    pub threshold: f64,
-    /// `(extent, rows_before, rows_after)` for every corrected object.
-    pub corrected: Vec<(String, f64, f64)>,
-    /// Estimated cost of the old plan under the corrected statistics.
-    pub cost_before: f64,
-    /// Estimated cost of the re-derived plan (corrected statistics).
-    pub cost_after: f64,
-    /// Physical plan hash before the re-lower.
-    pub plan_hash_before: u64,
-    /// Physical plan hash after the re-lower.
-    pub plan_hash_after: u64,
-    /// The re-derived logical plan.
-    pub plan: Expr,
-}
-
-impl ReoptReport {
-    /// Human-readable block, as `explain_analyze` and the REPL print it.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "re-optimization: q-error {:.1} > threshold {:.1}",
-            self.trigger_q_error, self.threshold
-        );
-        for (name, before, after) in &self.corrected {
-            let _ = writeln!(out, "  corrected {name}: rows {before:.0} -> {after:.0}");
-        }
-        let _ = writeln!(
-            out,
-            "  cost {:.0} -> {:.0}; plan hash {:016x} -> {:016x}",
-            self.cost_before, self.cost_after, self.plan_hash_before, self.plan_hash_after
-        );
-        out
-    }
-}
-
-/// Turn a profile's preorder node list into nested operator spans.
-///
-/// Each profile node becomes one `op:` span carrying its *self* counters
-/// as numeric attributes, so summing any counter over the returned
-/// subtrees telescopes exactly to the profile total — the PR 1 invariant
-/// (`sum_of_self_counters() == total`) re-exposed on the span tree.
-/// Nesting follows path prefixes; merged parallel profiles (several
-/// fragment roots) yield several root spans.  Start offsets are not
-/// recorded per node by the profiler, so children share the execute
-/// phase's start and carry their `total_wall` as duration — containment
-/// (child ⊆ parent interval) still holds because a child's total wall is
-/// bounded by its parent's.
-fn profile_spans(profile: &Profile, start_us: u64) -> Vec<Span> {
-    use excess_core::profile::{path_string, NodePath};
-    fn is_ancestor(a: &[usize], b: &[usize]) -> bool {
-        b.len() > a.len() && b[..a.len()] == *a
-    }
-    fn pop_into(stack: &mut Vec<(NodePath, Span)>, roots: &mut Vec<Span>) {
-        let (_, done) = stack.pop().expect("caller checked non-empty");
-        match stack.last_mut() {
-            Some((_, parent)) => parent.children.push(done),
-            None => roots.push(done),
-        }
-    }
-    let mut roots: Vec<Span> = Vec::new();
-    let mut stack: Vec<(NodePath, Span)> = Vec::new();
-    for n in &profile.nodes {
-        let mut span = Span::new(
-            format!("op:{} {}", n.label, path_string(&n.path)),
-            "op",
-            start_us,
-            n.total_wall.as_micros() as u64,
-        )
-        .with_meta("path", path_string(&n.path))
-        .with_num("calls", n.calls)
-        .with_num("rows_in", n.rows_in)
-        .with_num("rows_out", n.rows_out)
-        .with_num("self_us", n.self_wall.as_micros() as u64);
-        for (name, v) in n.self_counters.named_fields() {
-            span = span.with_num(name, v);
-        }
-        while matches!(stack.last(), Some((p, _)) if !is_ancestor(p, &n.path)) {
-            pop_into(&mut stack, &mut roots);
-        }
-        stack.push((n.path.clone(), span));
-    }
-    while !stack.is_empty() {
-        pop_into(&mut stack, &mut roots);
-    }
-    roots
-}
 
 /// Render a verifier [`Report`] as the `diagnostics:` block `explain` and
 /// `explain_analyze` append — empty string when there is nothing to say.
@@ -265,17 +129,10 @@ pub struct Database {
     /// observed cardinalities, plan re-optimized and re-lowered, the step
     /// journaled under `reoptimize`).
     pub reopt_threshold: f64,
-    /// Memo picture of the last journaled optimization (memo mode only).
-    last_memo: Option<MemoSnapshot>,
-    /// Label, optimized logical plan, and physical plan hash of the last
-    /// pipeline query — what `.reoptimize` forces a re-lower of.
-    last_plan: Option<(String, Expr, u64)>,
     /// The last feedback-driven re-optimization, if any.
     last_reopt: Option<ReoptReport>,
-    last_counters: Counters,
-    last_exec_report: Option<ExecReport>,
-    metrics: SessionMetrics,
-    telemetry: Telemetry,
+    /// Metrics, telemetry, and last-query state the pipeline records into.
+    run: RunState,
     /// Parse time and source text of the program currently being
     /// `execute`d, consumed by the first `retrieve` it contains so the
     /// flight recorder can attribute the parse phase and the query text.
@@ -307,13 +164,8 @@ impl Database {
             exec,
             optimizer_mode,
             reopt_threshold: 32.0,
-            last_memo: None,
-            last_plan: None,
             last_reopt: None,
-            last_counters: Counters::new(),
-            last_exec_report: None,
-            metrics: SessionMetrics::new(),
-            telemetry: Telemetry::new(),
+            run: RunState::default(),
             pending_parse: None,
         };
         if let Some(w) = warning {
@@ -330,15 +182,15 @@ impl Database {
         for w in rec.warnings.clone() {
             db.warn(w);
         }
-        db.telemetry.recorder = rec.build();
+        db.run.telemetry.recorder = rec.build();
         db
     }
 
     /// Record a configuration warning in both the session metrics and the
     /// telemetry registry (`config.warnings` counter).
     fn warn(&mut self, warning: String) {
-        self.telemetry.registry.inc("config.warnings");
-        self.metrics.record_warning(warning);
+        self.run.telemetry.registry.inc("config.warnings");
+        self.run.metrics.record_warning(warning);
     }
 
     // ----- accessors (used by examples and benchmarks) -----
@@ -387,7 +239,7 @@ impl Database {
     /// Memo picture of the last journaled optimization (None in greedy
     /// mode or before the first optimized query).
     pub fn last_memo(&self) -> Option<&MemoSnapshot> {
-        self.last_memo.as_ref()
+        self.run.last_memo.as_ref()
     }
     /// The last feedback-driven re-optimization, if one has fired.
     pub fn last_reoptimization(&self) -> Option<&ReoptReport> {
@@ -395,11 +247,11 @@ impl Database {
     }
     /// Work counters of the most recent evaluation.
     pub fn last_counters(&self) -> Counters {
-        self.last_counters
+        self.run.last_counters
     }
     /// Cumulative per-session metrics (queries, counters, rule firings).
     pub fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
+        &self.run.metrics
     }
     /// The current parallel-execution configuration.
     pub fn exec_config(&self) -> ExecConfig {
@@ -434,11 +286,11 @@ impl Database {
     /// The execution journal of the most recent parallel run (strategies,
     /// exchanges, fallbacks, per-worker skew), if any.
     pub fn last_exec_report(&self) -> Option<&ExecReport> {
-        self.last_exec_report.as_ref()
+        self.run.last_exec_report.as_ref()
     }
     /// Zero the session metrics registry.
     pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
+        self.run.metrics.reset();
     }
 
     // ----- telemetry -----
@@ -448,12 +300,12 @@ impl Database {
     /// and feedback log are always on; span traces are opt-in via
     /// [`Database::enable_query_spans`].
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.run.telemetry
     }
 
     /// Mutable telemetry (configure the slow-query threshold, reset, …).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
+        &mut self.run.telemetry
     }
 
     /// Turn full query-span traces on or off.  While on, every query run
@@ -462,16 +314,16 @@ impl Database {
     /// execute (with per-rewrite, per-choice, per-operator, and per-worker
     /// children), retrievable via [`Database::last_query_trace`].
     pub fn enable_query_spans(&mut self, on: bool) {
-        self.telemetry.spans_enabled = on;
+        self.run.telemetry.spans_enabled = on;
         if !on {
-            self.telemetry.last_trace = None;
+            self.run.telemetry.last_trace = None;
         }
     }
 
     /// The span tree of the most recent traced query, if spans are on and
     /// a query has run since.
     pub fn last_query_trace(&self) -> Option<&QueryTrace> {
-        self.telemetry.last_trace.as_ref()
+        self.run.telemetry.last_trace.as_ref()
     }
 
     /// Update a stored object's value (bulk loading outside the DDL path).
@@ -700,30 +552,20 @@ impl Database {
     /// too, under the rule name `extent-index-substitution`.  The run is
     /// also folded into the session [`SessionMetrics`].
     pub fn optimize_plan_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
-        let ctx = RuleCtx {
+        let mode = self.optimizer_mode;
+        let (view, _, run) = self.parts();
+        pipeline::optimize(view, mode, run, plan)
+    }
+
+    /// Split the borrow of `self` into what the pipeline reads, the store
+    /// it evaluates in, and the state it records into.
+    fn parts(&mut self) -> (View<'_>, &mut ObjectStore, &mut RunState) {
+        let view = View {
             registry: &self.registry,
-            schemas: &self.catalog,
+            catalog: &self.catalog,
+            stats: &self.stats,
         };
-        let opt = Optimizer::standard();
-        let (best, mut journal) = match self.optimizer_mode {
-            OptimizerMode::Memo => {
-                let (best, run) = opt.optimize_memo_journaled(plan, &ctx, &self.stats);
-                self.last_memo = Some(run.snapshot);
-                (best.plan, run.journal)
-            }
-            OptimizerMode::Greedy => {
-                let (a, ja) = opt.optimize_greedy_journaled(plan, &ctx, &self.stats);
-                let (b, jb) = opt.optimize_greedy_journaled(&plan.desugar(), &ctx, &self.stats);
-                if b.cost < a.cost {
-                    (b.plan, jb)
-                } else {
-                    (a.plan, ja)
-                }
-            }
-        };
-        let best = apply_extent_indexes_journaled(&best, &self.stats, &ctx, &mut journal);
-        self.metrics.record_journal(&journal);
-        (best, journal)
+        (view, &mut self.store, &mut self.run)
     }
 
     /// Force a feedback-driven re-optimization of the most recent
@@ -736,94 +578,23 @@ impl Database {
     }
 
     /// Re-optimize the most recent pipeline query when its worst recorded
-    /// q-error exceeds `threshold`: fold the offending observations back
-    /// into the statistics (scan-shaped nodes snap the extent's row count
-    /// to the observed cardinality via
-    /// [`Statistics::observe_extent_rows`]; other nodes re-collect the
-    /// extent from the stored data), re-run the mode-dispatched search
-    /// and the lowering, and journal the whole re-derivation as one
-    /// `reoptimize` step.  The automatic trigger — after every traced or
-    /// `explain_analyze` query — uses [`Database::reopt_threshold`].
+    /// q-error exceeds `threshold`: correct the statistics from the
+    /// offending observations (scan-shaped nodes snap the extent's row
+    /// count, other nodes re-collect the extent from the stored data),
+    /// re-run the mode-dispatched search and the lowering, and journal the
+    /// re-derivation as one `reoptimize` step.  The automatic trigger —
+    /// after every traced or `explain_analyze` query — uses
+    /// [`Database::reopt_threshold`].
     fn reoptimize_threshold(&mut self, threshold: f64) -> Option<ReoptReport> {
-        // Only in the analyzed regime: before the first `analyze` the
-        // statistics are shape defaults, and "correcting" them would
-        // churn plans mid-session without any collected baseline.
-        if self.stats.objects.is_empty() {
-            return None;
-        }
-        let (label, plan, plan_hash) = self.last_plan.clone()?;
-        let mut trigger = 1.0f64;
-        let mut fixes: Vec<(String, bool, f64)> = Vec::new();
-        for e in self.telemetry.feedback.entries() {
-            if e.plan_hash != plan_hash || e.max_q_error <= threshold {
-                continue;
-            }
-            trigger = trigger.max(e.max_q_error);
-            let Some(extent) = &e.extent else { continue };
-            if fixes.iter().any(|(n, _, _)| n == extent) {
-                continue;
-            }
-            fixes.push((extent.clone(), e.op.contains("Scan"), e.mean_actual()));
-        }
-        if fixes.is_empty() {
-            return None;
-        }
-        let mut corrected = Vec::new();
-        for (extent, is_scan, actual) in fixes {
-            let before = self.stats.object(&extent).rows;
-            if is_scan {
-                self.stats.observe_extent_rows(&extent, actual);
-            } else {
-                collect_object_statistics(&self.catalog, &self.store, &extent, &mut self.stats);
-            }
-            let after = self.stats.object(&extent).rows;
-            corrected.push((extent, before, after));
-        }
-        let cost_before = cost_of(&plan, &self.stats);
-        let (new_plan, _inner) = self.optimize_plan_journaled(&plan);
-        let (physical, _) = self.lower_plan_journaled(&new_plan);
-        let cost_after = cost_of(&new_plan, &self.stats);
-        let new_hash = plan_hash_of(&physical);
-        // One `reoptimize` journal step for the re-derivation itself (the
-        // inner optimize and lower recorded their own journals above).
-        let journal = RewriteJournal {
-            steps: vec![JournalStep {
-                rule: REOPTIMIZE_RULE,
-                path: Vec::new(),
-                cost_before,
-                cost_after,
-                plan: new_plan.clone(),
-            }],
-            refused: Vec::new(),
-            plans_enumerated: 1,
-            max_plans: 0,
-            initial_cost: cost_before,
-            final_cost: cost_after,
-        };
-        self.metrics.record_journal(&journal);
-        self.telemetry.registry.inc("reoptimize.triggered");
-        self.telemetry.recorder.record(QueryRecord {
-            query: format!("reoptimize({label})"),
-            plan_hash: new_hash,
-            engine: "reoptimize".to_string(),
-            rows: 0,
-            phase_us: Vec::new(),
-            kernels: Vec::new(),
-            est_rows: None,
-            actual_rows: None,
-        });
-        self.last_plan = Some((label.clone(), new_plan.clone(), new_hash));
-        let report = ReoptReport {
-            label,
-            trigger_q_error: trigger,
+        let report = pipeline::reoptimize(
+            &self.registry,
+            &self.catalog,
+            &self.store,
+            &mut self.stats,
+            self.optimizer_mode,
+            &mut self.run,
             threshold,
-            corrected,
-            cost_before,
-            cost_after,
-            plan_hash_before: plan_hash,
-            plan_hash_after: new_hash,
-            plan: new_plan,
-        };
+        )?;
         self.last_reopt = Some(report.clone());
         Some(report)
     }
@@ -844,28 +615,8 @@ impl Database {
     /// soundness check as the rule catalogue.  The journal is folded into
     /// the session [`SessionMetrics`].
     pub fn property_rewrites_journaled(&mut self, plan: &Expr) -> (Expr, RewriteJournal) {
-        let ctx = RuleCtx {
-            registry: &self.registry,
-            schemas: &self.catalog,
-        };
-        let cost = cost_of(plan, &self.stats);
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 0,
-            max_plans: 0,
-            initial_cost: cost,
-            final_cost: cost,
-        };
-        let out = excess_optimizer::apply_property_rewrites_journaled(
-            plan,
-            &self.catalog,
-            &self.stats,
-            &ctx,
-            &mut journal,
-        );
-        self.metrics.record_journal(&journal);
-        (out, journal)
+        let (view, _, run) = self.parts();
+        pipeline::property_rewrites(view, run, plan)
     }
 
     /// Elide proven-redundant hash-join runtime guards on a lowered plan
@@ -875,11 +626,8 @@ impl Database {
         &mut self,
         physical: &mut PhysicalPlan,
     ) -> Vec<(excess_core::profile::NodePath, String)> {
-        let elided = elide_proven_guards(physical, &self.catalog);
-        self.telemetry
-            .registry
-            .add("lowering.guard_elisions", elided.len() as u64);
-        elided
+        let (view, _, run) = self.parts();
+        pipeline::elide_guards(view, run, physical)
     }
 
     /// Lower a logical plan to a physical plan under the session's
@@ -899,23 +647,14 @@ impl Database {
     /// [`SessionMetrics`], so lowering shows up in `rules_fired` next to
     /// the algebraic rules.
     pub fn lower_plan_journaled(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
-        let cost = cost_of(plan, &self.stats);
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 1,
-            max_plans: 0,
-            initial_cost: cost,
-            final_cost: cost,
-        };
-        let pp = lower_journaled(plan, &self.stats, &mut journal);
-        self.metrics.record_journal(&journal);
-        (pp, journal)
+        let (view, _, run) = self.parts();
+        pipeline::lower(view, run, plan, false)
     }
 
-    /// Encode a column chunk for every base extent the plan scans whose
-    /// value is a chunk-safe multiset (uniform flat tuples) and whose
-    /// chunk is not already cached.  The nullability facts from
+    /// Encode a column chunk for every base extent the plan scans — and
+    /// every per-type extent an extent-index substitution could make it
+    /// scan — whose value is a chunk-safe multiset (uniform flat tuples)
+    /// and whose chunk is not already cached.  The nullability facts from
     /// `excess_core::analysis` drive the encoding: attributes the
     /// analysis proves present and free of both nulls are encoded without
     /// a validity bitmap.  Returns how many chunks were built; each build
@@ -932,6 +671,11 @@ impl Database {
         }
         let mut names = BTreeSet::new();
         named(plan, &mut names);
+        for (obj, ty) in &self.stats.extent_indexes {
+            if names.contains(obj) {
+                names.insert(format!("{obj}::exact::{ty}"));
+            }
+        }
         let mut built = 0;
         for name in names {
             if self.catalog.chunk(&name).is_some() {
@@ -955,7 +699,7 @@ impl Database {
                 .unwrap_or_default();
             if let Some(chunk) = excess_types::Chunk::encode(set, &non_null) {
                 self.catalog.set_chunk(&name, chunk);
-                self.telemetry.registry.inc("columnar.chunks_built");
+                self.run.telemetry.registry.inc("columnar.chunks_built");
                 built += 1;
             }
         }
@@ -970,321 +714,53 @@ impl Database {
     /// plus one refused step per candidate that had to keep its row
     /// kernel and why.
     pub fn lower_plan_columnar(&mut self, plan: &Expr) -> (PhysicalPlan, RewriteJournal) {
-        let (mut pp, mut journal) = self.lower_plan_journaled(plan);
         self.ensure_chunks_for(plan);
-        let before = journal.final_cost;
-        let (accepted, refused) = annotate_columnar(&mut pp, &self.catalog);
-        let mut delta = RewriteJournal {
-            steps: Vec::new(),
-            refused,
-            plans_enumerated: 0,
-            max_plans: 0,
-            initial_cost: before,
-            final_cost: before,
-        };
-        if !accepted.is_empty() {
-            let after = estimate_physical(&pp, &self.stats).cost;
-            delta.steps.push(JournalStep {
-                rule: COLUMNAR_RULE,
-                path: Vec::new(),
-                cost_before: before,
-                cost_after: after,
-                plan: plan.clone(),
-            });
-            delta.final_cost = after;
-        }
-        // Only the columnar delta is folded into the session metrics —
-        // `lower_plan_journaled` already recorded the lowering journal.
-        self.metrics.record_journal(&delta);
-        journal.steps.extend(delta.steps);
-        journal.refused.extend(delta.refused);
-        journal.final_cost = delta.final_cost;
-        (pp, journal)
+        let (view, _, run) = self.parts();
+        pipeline::lower(view, run, plan, true)
     }
 
     /// Run a programmatically built plan through the full query pipeline —
     /// optimize (when enabled) → lower → execute on the session's engine —
     /// with telemetry: counters and latency histograms are updated, the
-    /// flight recorder gets a [`QueryRecord`] labelled `label`, and, when
-    /// spans are enabled, a full [`QueryTrace`] is assembled.  This is the
-    /// telemetry-covered entry point for benchmark figures and tests that
-    /// construct algebra plans directly instead of going through `execute`.
+    /// flight recorder gets a
+    /// [`QueryRecord`](excess_telemetry::QueryRecord) labelled `label`,
+    /// and, when spans are enabled, a full [`QueryTrace`] is assembled.
+    /// This is the telemetry-covered entry point for benchmark figures and
+    /// tests that construct algebra plans directly instead of going
+    /// through `execute`.
     pub fn run_query_plan(&mut self, label: &str, plan: &Expr) -> DbResult<Value> {
         self.run_pipeline(label, plan, &[])
     }
 
-    /// The shared query pipeline behind `retrieve` statements and
-    /// [`Database::run_query_plan`].  `pre_phases` carries already-timed
-    /// phases (parse, translate) that happened before this call.
+    /// [`pipeline::run`] under this database's options, behind `retrieve`
+    /// statements and [`Database::run_query_plan`].  `pre_phases` carries
+    /// already-timed phases (parse, translate) that happened before this
+    /// call.  A session's catalog is immutable, so the pipeline never
+    /// encodes chunks: in columnar mode the database encodes them first.
+    /// After a traced run, fresh per-node observations whose q-error
+    /// crossed [`Database::reopt_threshold`] re-derive the plan.
     fn run_pipeline(
         &mut self,
         label: &str,
         plan: &Expr,
         pre_phases: &[(&'static str, u64)],
     ) -> DbResult<Value> {
-        let spans = self.telemetry.spans_enabled;
-        // The trace timeline starts at the first pre-phase: pre-phase
-        // spans occupy [0, base) and everything timed here is offset by
-        // `base`.
-        let base: u64 = pre_phases.iter().map(|(_, us)| us).sum();
-        let origin = Instant::now();
-        let mut phases: Vec<(&'static str, u64)> = pre_phases.to_vec();
-        let mut phase_spans: Vec<Span> = Vec::new();
-        if spans {
-            let mut cursor = 0u64;
-            for (name, us) in pre_phases {
-                phase_spans.push(Span::new(*name, "phase", cursor, *us));
-                cursor += us;
-            }
+        if self.columnar {
+            self.ensure_chunks_for(plan);
         }
-
-        // Infer + verify phases run only under spans: the statement path
-        // has already inferred during translation, and the parallel engine
-        // re-verifies on its own — these spans exist to show the layers,
-        // not to gate execution.
-        if spans {
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let inferred = self.infer_schema(plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("infer", dur));
-            let mut s = Span::new("infer", "phase", t0, dur);
-            if let Ok(ty) = &inferred {
-                s = s.with_meta("schema", ty.to_string());
-            }
-            phase_spans.push(s);
-
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let report = self.verify_plan(plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("verify", dur));
-            phase_spans.push(
-                Span::new("verify", "phase", t0, dur)
-                    .with_num("errors", report.error_count() as u64)
-                    .with_num("lints", report.lint_count() as u64),
-            );
-        }
-
-        // Optimize (journaled), with one child span per accepted and
-        // refused rewrite.
-        let plan = if self.optimize {
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let (optimized, journal) = self.optimize_plan_journaled(plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("optimize", dur));
-            if spans {
-                let mut s = Span::new("optimize", "phase", t0, dur)
-                    .with_num("plans_enumerated", journal.plans_enumerated as u64)
-                    .with_num("rewrites_applied", journal.steps.len() as u64)
-                    .with_num("rewrites_refused", journal.refused.len() as u64);
-                for step in &journal.steps {
-                    s.children.push(
-                        Span::new(format!("rewrite:{}", step.rule), "rewrite", t0, 0)
-                            .with_meta("path", excess_core::profile::path_string(&step.path))
-                            .with_meta("cost_before", format!("{:.0}", step.cost_before))
-                            .with_meta("cost_after", format!("{:.0}", step.cost_after)),
-                    );
-                }
-                for refused in &journal.refused {
-                    s.children.push(
-                        Span::new(format!("refused:{}", refused.rule), "rewrite", t0, 0)
-                            .with_meta("path", excess_core::profile::path_string(&refused.path))
-                            .with_meta("reason", refused.reason.clone()),
-                    );
-                }
-                phase_spans.push(s);
-            }
-            optimized
-        } else {
-            plan.clone()
+        let opts = RunOptions {
+            optimize: self.optimize,
+            mode: self.optimizer_mode,
+            property_rewrites: self.property_rewrites,
+            columnar: self.columnar,
+            exec: self.exec,
         };
-
-        // Property-licensed rewrites (opt-in): simplifications licensed
-        // by proofs from the stored data rather than cost estimates.
-        let plan = if self.property_rewrites {
-            let t0 = base + origin.elapsed().as_micros() as u64;
-            let (rewritten, journal) = self.property_rewrites_journaled(&plan);
-            let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-            phases.push(("properties", dur));
-            if spans {
-                let mut s = Span::new("properties", "phase", t0, dur)
-                    .with_num("rewrites_applied", journal.steps.len() as u64)
-                    .with_num("rewrites_refused", journal.refused.len() as u64);
-                for step in &journal.steps {
-                    s.children.push(
-                        Span::new(format!("rewrite:{}", step.rule), "rewrite", t0, 0)
-                            .with_meta("path", excess_core::profile::path_string(&step.path)),
-                    );
-                }
-                phase_spans.push(s);
-            }
-            rewritten
-        } else {
-            plan
-        };
-
-        // Lower (journaled), with one child span per exercised kernel
-        // choice.
-        let t0 = base + origin.elapsed().as_micros() as u64;
-        let (mut physical, _) = if self.columnar {
-            self.lower_plan_columnar(&plan)
-        } else {
-            self.lower_plan_journaled(&plan)
-        };
-        if self.property_rewrites {
-            // Guard elision: substitute the analysis's proofs for the
-            // hash kernel's per-occurrence key checks, counted under
-            // `lowering.guard_elisions` in the telemetry registry.
-            let _ = self.elide_plan_guards(&mut physical);
+        let (view, store, run) = self.parts();
+        let out = pipeline::run(view, store, run, opts, label, plan, pre_phases)?;
+        if self.run.telemetry.spans_enabled {
+            let _ = self.reoptimize_threshold(self.reopt_threshold);
         }
-        let dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(t0);
-        phases.push(("lower", dur));
-        if spans {
-            let mut s = Span::new("lower", "phase", t0, dur);
-            for (path, choice) in &physical.choices {
-                if matches!(choice.op, excess_core::physical::PhysOp::PassThrough) {
-                    continue;
-                }
-                let mut child = Span::new(
-                    format!(
-                        "choose:{} {}",
-                        excess_core::profile::path_string(path),
-                        choice.op
-                    ),
-                    "lower",
-                    t0,
-                    0,
-                )
-                .with_meta("why", choice.why.clone());
-                if let Some(est) = choice.est_rows {
-                    child = child.with_meta("est_rows", format!("{est:.0}"));
-                }
-                s.children.push(child);
-            }
-            phase_spans.push(s);
-        }
-        let plan_hash = plan_hash_of(&physical);
-        self.last_plan = Some((label.to_string(), plan.clone(), plan_hash));
-
-        // Execute: profiled when spans are on (the profile becomes the
-        // operator span subtree and feeds the misestimation log).
-        let exec_start = base + origin.elapsed().as_micros() as u64;
-        let parallel = self.exec.is_parallel();
-        let (value, profile) = if parallel {
-            let tracing = if spans {
-                Tracing::Precise
-            } else {
-                Tracing::Off
-            };
-            self.run_plan_physical_parallel_traced(&physical, tracing)?
-        } else if spans {
-            let (v, p) = self.run_plan_physical_profiled(&physical)?;
-            (v, Some(p))
-        } else {
-            (self.run_plan_physical(&physical)?, None)
-        };
-        let exec_dur = (base + origin.elapsed().as_micros() as u64).saturating_sub(exec_start);
-        phases.push(("execute", exec_dur));
-
-        let engine = if parallel {
-            format!("parallel({})", self.exec.workers)
-        } else {
-            "serial".to_string()
-        };
-        let rows = value_rows(&value);
-
-        // Always-on: registry counters + histograms + flight recorder.
-        let total_us: u64 = phases.iter().map(|(_, us)| us).sum();
-        self.telemetry.registry.inc("queries");
-        self.telemetry.registry.inc(if parallel {
-            "queries.parallel"
-        } else {
-            "queries.serial"
-        });
-        self.telemetry.registry.observe("query_us", total_us);
-        for (name, us) in &phases {
-            self.telemetry
-                .registry
-                .observe(&format!("phase.{name}_us"), *us);
-        }
-        for (name, v) in self.last_counters.named_fields() {
-            self.telemetry.registry.add(&format!("work.{name}"), v);
-        }
-        let kernels: Vec<(String, String)> = physical
-            .choices
-            .iter()
-            .filter(|(_, c)| !matches!(c.op, excess_core::physical::PhysOp::PassThrough))
-            .map(|(path, c)| (excess_core::profile::path_string(path), c.op.to_string()))
-            .collect();
-        let root_est = physical.choices.get(&Vec::new()).and_then(|c| c.est_rows);
-        self.telemetry.recorder.record(QueryRecord {
-            query: label.to_string(),
-            plan_hash,
-            engine: engine.clone(),
-            rows,
-            phase_us: phases.clone(),
-            kernels,
-            est_rows: root_est,
-            actual_rows: Some(rows),
-        });
-
-        // Opt-in: feedback observations and the assembled span tree.
-        if spans {
-            if let Some(profile) = &profile {
-                for (path, choice) in &physical.choices {
-                    let (Some(est), Some(node)) = (choice.est_rows, profile.node(path)) else {
-                        continue;
-                    };
-                    self.telemetry.feedback.observe(
-                        plan_hash,
-                        &excess_core::profile::path_string(path),
-                        &choice.op.to_string(),
-                        extent_at(&plan, path).as_deref(),
-                        est,
-                        node.rows_out as f64,
-                    );
-                }
-                let mut exec_span = Span::new("execute", "phase", exec_start, exec_dur)
-                    .with_meta("engine", engine.clone())
-                    .with_num("rows", rows);
-                if let Some(report) = &self.last_exec_report {
-                    if parallel {
-                        for w in &report.worker_stats {
-                            exec_span.children.push(
-                                Span::new(
-                                    format!("worker:{}", w.worker),
-                                    "worker",
-                                    exec_start + w.started.as_micros() as u64,
-                                    w.finished.saturating_sub(w.started).as_micros() as u64,
-                                )
-                                .on_lane(w.worker as u32 + 1)
-                                .with_num("tasks", w.tasks)
-                                .with_num("occurrences", w.occurrences)
-                                .with_num("busy_us", w.busy.as_micros() as u64),
-                            );
-                        }
-                    }
-                }
-                exec_span
-                    .children
-                    .extend(profile_spans(profile, exec_start));
-                phase_spans.push(exec_span);
-            }
-            let mut root =
-                Span::new("query", "phase", 0, total_us).with_meta("engine", engine.clone());
-            root.children = phase_spans;
-            self.telemetry.last_trace = Some(QueryTrace {
-                query: label.to_string(),
-                engine,
-                plan_hash,
-                root,
-            });
-            // With fresh observations in hand, re-derive the plan when
-            // its recorded q-error crossed the session threshold.
-            let threshold = self.reopt_threshold;
-            let _ = self.reoptimize_threshold(threshold);
-        }
-
-        Ok(value)
+        Ok(out.value)
     }
 
     /// Statically verify a plan against this database's catalog and type
@@ -1374,16 +850,30 @@ impl Database {
         out
     }
 
-    /// Evaluate a plan against the database, recording work counters.
+    /// Evaluate on the serial engine, recording work counters and session
+    /// metrics.
+    fn run_serial(&mut self, plan: Plan<'_>, profile: bool) -> DbResult<(Value, Option<Profile>)> {
+        let (view, store, run) = self.parts();
+        pipeline::run_serial(view, store, run, plan, profile)
+    }
+
+    /// Evaluate on the partition-parallel engine under the session's
+    /// [`ExecConfig`], recording counters, session metrics, and the
+    /// execution journal.
+    fn run_parallel(
+        &mut self,
+        plan: Plan<'_>,
+        profile: bool,
+    ) -> DbResult<(Value, Option<Profile>)> {
+        let exec = self.exec;
+        let (view, store, run) = self.parts();
+        pipeline::run_parallel_engine(view, store, run, plan, exec, profile)
+    }
+
+    /// Evaluate a plan against the database, recording work counters —
+    /// the reference evaluator every engine is checked against.
     pub fn run_plan(&mut self, plan: &Expr) -> DbResult<Value> {
-        let started = Instant::now();
-        let (out, counters) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            (evaluate(plan, &mut ctx), ctx.counters)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok(out?)
+        Ok(self.run_serial(Plan::Logical(plan), false)?.0)
     }
 
     /// Evaluate a lowered plan with the serial engine's physical
@@ -1392,14 +882,7 @@ impl Database {
     /// exactly as [`Database::run_plan`].  Counters and session metrics
     /// are recorded identically.
     pub fn run_plan_physical(&mut self, plan: &PhysicalPlan) -> DbResult<Value> {
-        let started = Instant::now();
-        let (out, counters) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            (evaluate_physical(plan, &mut ctx), ctx.counters)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok(out?)
+        Ok(self.run_serial(Plan::Physical(plan), false)?.0)
     }
 
     /// [`Database::run_plan_physical`] with per-operator profiling.
@@ -1407,17 +890,8 @@ impl Database {
         &mut self,
         plan: &PhysicalPlan,
     ) -> DbResult<(Value, Profile)> {
-        let started = Instant::now();
-        let (out, counters, profile) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            ctx.enable_tracing();
-            let out = evaluate_physical(plan, &mut ctx);
-            let profile = ctx.take_profile().expect("tracing was enabled above");
-            (out, ctx.counters, profile)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok((out?, profile))
+        let (v, p) = self.run_serial(Plan::Physical(plan), true)?;
+        Ok((v, p.expect("tracing was enabled")))
     }
 
     /// Evaluate a lowered plan with the partition-parallel engine: the
@@ -1426,37 +900,7 @@ impl Database {
     /// as fragment bodies.  Accounting matches
     /// [`Database::run_plan_parallel`].
     pub fn run_plan_physical_parallel(&mut self, plan: &PhysicalPlan) -> DbResult<Value> {
-        self.run_plan_physical_parallel_traced(plan, Tracing::Off)
-            .map(|(v, _)| v)
-    }
-
-    fn run_plan_physical_parallel_traced(
-        &mut self,
-        plan: &PhysicalPlan,
-        tracing: Tracing,
-    ) -> DbResult<(Value, Option<Profile>)> {
-        let started = Instant::now();
-        let out = run_parallel_plan(
-            plan,
-            &self.registry,
-            &mut self.store,
-            &self.catalog,
-            Some(&self.catalog),
-            self.exec,
-            tracing,
-        );
-        let wall = started.elapsed();
-        let out = out?;
-        self.last_counters = out.counters;
-        let effective_workers = if out.report.worker_stats.is_empty() {
-            1
-        } else {
-            out.report.workers
-        };
-        self.metrics
-            .record_query_mode(out.counters, wall, effective_workers);
-        self.last_exec_report = Some(out.report);
-        Ok((out.value, out.profile))
+        Ok(self.run_parallel(Plan::Physical(plan), false)?.0)
     }
 
     /// Evaluate a plan with the partition-parallel engine under the
@@ -1467,19 +911,7 @@ impl Database {
     /// verification, mint OIDs, or run under one worker fall back to
     /// serial evaluation with a journaled reason.
     pub fn run_plan_parallel(&mut self, plan: &Expr) -> DbResult<Value> {
-        self.run_plan_parallel_traced(plan, Tracing::Off)
-            .map(|(v, _)| v)
-    }
-
-    /// [`Database::run_plan_parallel`] returning the execution journal
-    /// alongside the value.
-    pub fn run_plan_parallel_report(&mut self, plan: &Expr) -> DbResult<(Value, ExecReport)> {
-        let v = self.run_plan_parallel(plan)?;
-        let report = self
-            .last_exec_report
-            .clone()
-            .expect("run_plan_parallel records a report");
-        Ok((v, report))
+        Ok(self.run_parallel(Plan::Logical(plan), false)?.0)
     }
 
     /// [`Database::run_plan_parallel`] with per-operator profiling: the
@@ -1487,46 +919,8 @@ impl Database {
     /// paths), and its self-counter sum telescopes to the query totals
     /// exactly as in serial profiling.
     pub fn run_plan_parallel_profiled(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_parallel_traced(plan, Tracing::Precise)
-            .map(|(v, p)| (v, p.expect("tracing was enabled")))
-    }
-
-    /// [`Database::run_plan_parallel_profiled`] with coarse timestamps
-    /// (one clock sample per traced node — see
-    /// [`EvalCtx::enable_coarse_tracing`]).
-    pub fn run_plan_parallel_profiled_coarse(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_parallel_traced(plan, Tracing::Coarse)
-            .map(|(v, p)| (v, p.expect("tracing was enabled")))
-    }
-
-    fn run_plan_parallel_traced(
-        &mut self,
-        plan: &Expr,
-        tracing: Tracing,
-    ) -> DbResult<(Value, Option<Profile>)> {
-        let started = Instant::now();
-        let out = run_parallel(
-            plan,
-            &self.registry,
-            &mut self.store,
-            &self.catalog,
-            Some(&self.catalog),
-            self.exec,
-            tracing,
-        );
-        let wall = started.elapsed();
-        let out = out?;
-        self.last_counters = out.counters;
-        // A whole-plan serial fallback is accounted as a serial query.
-        let effective_workers = if out.report.worker_stats.is_empty() {
-            1
-        } else {
-            out.report.workers
-        };
-        self.metrics
-            .record_query_mode(out.counters, wall, effective_workers);
-        self.last_exec_report = Some(out.report);
-        Ok((out.value, out.profile))
+        let (v, p) = self.run_parallel(Plan::Logical(plan), true)?;
+        Ok((v, p.expect("tracing was enabled")))
     }
 
     /// Evaluate a plan with per-operator profiling enabled; returns the
@@ -1534,33 +928,8 @@ impl Database {
     /// session metrics are recorded exactly as by [`Database::run_plan`]
     /// (profiling changes neither results nor counters).
     pub fn run_plan_profiled(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_traced(plan, false)
-    }
-
-    /// [`Database::run_plan_profiled`] with coarse timestamps: one clock
-    /// sample per traced node invocation instead of two (see
-    /// [`EvalCtx::enable_coarse_tracing`]), for deep plans where the
-    /// profiler's own clock reads would dominate.
-    pub fn run_plan_profiled_coarse(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        self.run_plan_traced(plan, true)
-    }
-
-    fn run_plan_traced(&mut self, plan: &Expr, coarse: bool) -> DbResult<(Value, Profile)> {
-        let started = Instant::now();
-        let (out, counters, profile) = {
-            let mut ctx = EvalCtx::new(&self.registry, &mut self.store, &self.catalog);
-            if coarse {
-                ctx.enable_coarse_tracing();
-            } else {
-                ctx.enable_tracing();
-            }
-            let out = evaluate(plan, &mut ctx);
-            let profile = ctx.take_profile().expect("tracing was enabled above");
-            (out, ctx.counters, profile)
-        };
-        self.last_counters = counters;
-        self.metrics.record_query(counters, started.elapsed());
-        Ok((out?, profile))
+        let (v, p) = self.run_serial(Plan::Logical(plan), true)?;
+        Ok((v, p.expect("tracing was enabled")))
     }
 
     /// EXPLAIN ANALYZE: execute the plan with profiling and render the
@@ -1577,34 +946,21 @@ impl Database {
     pub fn explain_analyze(&mut self, plan: &Expr) -> DbResult<String> {
         let estimates = excess_optimizer::estimate_nodes(plan, &self.stats);
         let physical = self.lower_plan(plan);
-        let (profile, report) = if self.exec.is_parallel() {
-            let (_, profile) =
-                self.run_plan_physical_parallel_traced(&physical, Tracing::Precise)?;
-            (
-                profile.expect("tracing was enabled"),
-                self.last_exec_report.clone(),
-            )
+        let parallel = self.exec.is_parallel();
+        let (_, profile) = if parallel {
+            self.run_parallel(Plan::Physical(&physical), true)?
         } else {
-            let (_, profile) = self.run_plan_physical_profiled(&physical)?;
-            (profile, None)
+            self.run_serial(Plan::Physical(&physical), true)?
         };
+        let profile = profile.expect("tracing was enabled");
+        let report = parallel
+            .then(|| self.run.last_exec_report.clone())
+            .flatten();
         // Every analyze feeds the misestimation log: per lowered node with
         // an estimate and a measured profile entry, est vs actual rows.
-        let plan_hash = plan_hash_of(&physical);
-        self.last_plan = Some(("explain_analyze".to_string(), plan.clone(), plan_hash));
-        for (path, choice) in &physical.choices {
-            let (Some(est), Some(node)) = (choice.est_rows, profile.node(path)) else {
-                continue;
-            };
-            self.telemetry.feedback.observe(
-                plan_hash,
-                &excess_core::profile::path_string(path),
-                &choice.op.to_string(),
-                extent_at(plan, path).as_deref(),
-                est,
-                node.rows_out as f64,
-            );
-        }
+        let plan_hash = pipeline::plan_hash_of(&physical);
+        self.run.last_plan = Some(("explain_analyze".to_string(), plan.clone(), plan_hash));
+        pipeline::observe_nodes(&mut self.run, &physical, &profile, plan_hash);
         let mut out = crate::explain::render_explain_analyze(plan, &profile, &estimates);
         // The kernel block slots in above the `total:` footer so the
         // footer stays the render's last line.

@@ -29,11 +29,12 @@ pub mod explain;
 pub mod format;
 pub mod json;
 pub mod metrics;
+mod pipeline;
 pub mod session;
 pub mod stats;
 
 pub use catalog::{DbCatalog, NamedObject};
-pub use database::{Database, ReoptReport};
+pub use database::Database;
 pub use error::{DbError, DbResult};
 pub use explain::{render_explain_analyze, render_parallel_execution};
 pub use format::{format_result, try_table};
@@ -41,7 +42,8 @@ pub use json::{
     counters_json, escape_json, exec_report_json, journal_json, metrics_json, profile_json,
     value_json, verify_json,
 };
-pub use session::{CommitBatch, Generation, QueryOutcome, ServerStats, Session, VersionedDb};
+pub use pipeline::{QueryOutcome, ReoptReport};
+pub use session::{CommitBatch, Generation, ServerStats, Session, VersionedDb};
 
 // Re-exported so callers can configure parallel execution without naming
 // the engine crate directly.

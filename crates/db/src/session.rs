@@ -44,30 +44,30 @@
 //! # Read path
 //!
 //! [`Session::query`] accepts a program of `range of` declarations and
-//! `retrieve` statements (anything else must go through `commit`) and
-//! runs the same pipeline as [`Database::execute`] — translate →
-//! greedy-optimize (journaled, dual desugared pass, extent-index
-//! substitution) → lower → execute on the serial engine — entirely
-//! against the pinned generation.  Statements that mint object
-//! identities during evaluation do so in the session's private scratch
-//! store, leaving the shared generation untouched.
+//! `retrieve` statements (anything else must go through `commit`),
+//! translates each retrieve against the pinned generation, and hands the
+//! plan to the same pipeline [`Database::execute`] runs — mode-dispatched
+//! optimization (memo by default), extent-index substitution, lowering,
+//! execution, and the always-on recording.  What a session leaves off:
+//! execution is serial and row-at-a-time (no parallel engine, no
+//! columnar kernels, since the shared catalog cannot take new chunks),
+//! and there are no property rewrites and no span traces.  Statements
+//! that mint object identities during evaluation do so in the session's
+//! private scratch store, leaving the shared generation untouched.
 
 use crate::catalog::DbCatalog;
-use crate::database::{extent_at, Database};
+use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use excess_core::eval::EvalCtx;
+use crate::pipeline::{self, QueryOutcome, RunOptions, RunState, View};
 use excess_core::expr::Expr;
-use excess_core::physical::evaluate_physical;
-use excess_lang::ast::{QExpr, Retrieve, Stmt};
+use excess_exec::ExecConfig;
+use excess_lang::ast::{QExpr, Stmt};
 use excess_lang::methods::MethodRegistry;
 use excess_lang::parse_program;
 use excess_lang::translate::{translate_retrieve, TranslateCtx};
-use excess_optimizer::{
-    apply_extent_indexes_journaled, cost_of, lower_journaled, MemoSnapshot, Optimizer,
-    OptimizerMode, RewriteJournal, RuleCtx, Statistics,
-};
-use excess_telemetry::{fnv1a64, QueryRecord, RecorderSettings, Registry, Telemetry};
+use excess_optimizer::{MemoSnapshot, OptimizerMode, Statistics};
+use excess_telemetry::{RecorderSettings, Registry, Telemetry};
 use excess_types::{ObjectStore, TypeRegistry, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -302,10 +302,14 @@ impl VersionedDb {
         self.shared.sessions_opened.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.current();
         let scratch = (*snapshot.store).clone();
-        let mut telemetry = Telemetry::new();
-        telemetry.recorder = RecorderSettings::from_env().build();
+        let mut run = RunState::default();
+        run.telemetry.recorder = RecorderSettings::from_env().build();
         let (optimizer_mode, mode_warning) = OptimizerMode::from_env();
-        let mut session = Session {
+        if let Some(w) = mode_warning {
+            run.telemetry.registry.inc("config.warnings");
+            run.metrics.record_warning(w);
+        }
+        Session {
             db: self.clone(),
             snapshot,
             scratch,
@@ -313,17 +317,9 @@ impl VersionedDb {
             optimize: true,
             optimizer_mode,
             stats_overlay: None,
-            last_memo: None,
-            last_plan: None,
-            metrics: SessionMetrics::new(),
-            telemetry,
+            run,
             closed: false,
-        };
-        if let Some(w) = mode_warning {
-            session.telemetry.registry.inc("config.warnings");
-            session.metrics.record_warning(w);
         }
-        session
     }
 
     /// Send one program to the committer and wait for it to be applied
@@ -578,25 +574,6 @@ fn publish(db: &mut Database, shared: &SharedState, dirty: Dirty, applied: Vec<S
     next.number
 }
 
-/// What one [`Session::query`] produced: the value plus the provenance a
-/// server wants to report per response.
-#[derive(Debug, Clone)]
-pub struct QueryOutcome {
-    /// The program's last `retrieve` result (`true` for programs of only
-    /// `range of` declarations).
-    pub value: Value,
-    /// Result occurrences (multiset cardinality / array length / 1).
-    pub rows: u64,
-    /// The generation the session was pinned to.
-    pub generation: u64,
-    /// Fingerprint of the lowered plan (0 for declaration-only programs).
-    pub plan_hash: u64,
-    /// Per-phase wall time, in order.
-    pub phase_us: Vec<(&'static str, u64)>,
-    /// Total wall time across the phases.
-    pub total_us: u64,
-}
-
 /// One client's snapshot-isolated view of a [`VersionedDb`].
 pub struct Session {
     db: VersionedDb,
@@ -617,12 +594,8 @@ pub struct Session {
     /// generation's statistics until the next [`Session::refresh`] —
     /// snapshot isolation for the feedback loop.
     stats_overlay: Option<Arc<Statistics>>,
-    /// Memo picture of the last memo-mode optimization in this session.
-    last_memo: Option<MemoSnapshot>,
-    /// Label, optimized logical plan, and plan hash of the last query.
-    last_plan: Option<(String, Expr, u64)>,
-    metrics: SessionMetrics,
-    telemetry: Telemetry,
+    /// Metrics, telemetry, and last-query state the pipeline records into.
+    run: RunState,
     closed: bool,
 }
 
@@ -639,12 +612,12 @@ impl Session {
 
     /// This session's cumulative metrics.
     pub fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
+        &self.run.metrics
     }
 
     /// This session's telemetry (registry + flight recorder).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.run.telemetry
     }
 
     /// Rewrite a result's references into canonical `(@obj, @val)` value
@@ -668,7 +641,7 @@ impl Session {
 
     /// Memo picture of this session's last memo-mode optimization.
     pub fn last_memo(&self) -> Option<&MemoSnapshot> {
-        self.last_memo.as_ref()
+        self.run.last_memo.as_ref()
     }
 
     /// The statistics queries in this session currently plan against:
@@ -682,65 +655,28 @@ impl Session {
 
     /// Force a feedback-driven re-optimization of this session's last
     /// query: fold its recorded misestimations into a session-local copy
-    /// of the statistics (rows snap to the observed cardinalities,
-    /// distinct counts and NDVs rescale proportionally), re-run the
-    /// mode-dispatched search under the corrected copy, and return a
-    /// human-readable report.  `None` when no query has run or nothing
-    /// was observed for its plan.  The correction lives in this session
-    /// only — the shared generation is immutable — and clears on
-    /// [`Session::refresh`].
+    /// of the statistics under the same correction rule
+    /// [`Database::reoptimize_last`] applies (a scan-shaped node snaps the
+    /// extent's rows; any other node re-collects the extent from the
+    /// pinned generation), re-derive the plan under the corrected copy,
+    /// and return the rendered report.  `None` when no query has run or
+    /// nothing was misestimated for its plan.  The correction lives in
+    /// this session only — the shared generation is immutable — and
+    /// clears on [`Session::refresh`].
     pub fn reoptimize_last(&mut self) -> Option<String> {
-        let (label, plan, plan_hash) = self.last_plan.clone()?;
-        let mut corrected: Vec<(String, f64, f64)> = Vec::new();
-        let mut trigger = 1.0f64;
+        let snapshot = self.snapshot.clone();
         let mut stats = (*self.effective_stats()).clone();
-        for e in self.telemetry.feedback.entries() {
-            if e.plan_hash != plan_hash || e.max_q_error <= 1.0 {
-                continue;
-            }
-            trigger = trigger.max(e.max_q_error);
-            let Some(extent) = &e.extent else { continue };
-            if corrected.iter().any(|(n, _, _)| n == extent) {
-                continue;
-            }
-            let before = stats.object(extent).rows;
-            stats.observe_extent_rows(extent, e.mean_actual());
-            corrected.push((extent.clone(), before, stats.object(extent).rows));
-        }
-        if corrected.is_empty() {
-            return None;
-        }
-        let stats = Arc::new(stats);
-        self.stats_overlay = Some(stats.clone());
-        let ctx = RuleCtx {
-            registry: &self.snapshot.registry,
-            schemas: &*self.snapshot.catalog,
-        };
-        let opt = Optimizer::standard();
-        let cost_before = cost_of(&plan, &stats);
-        let (new_plan, journal) = match self.optimizer_mode {
-            OptimizerMode::Memo => {
-                let (best, run) = opt.optimize_memo_journaled(&plan, &ctx, &stats);
-                self.last_memo = Some(run.snapshot);
-                (best.plan, run.journal)
-            }
-            OptimizerMode::Greedy => {
-                let (best, journal) = opt.optimize_greedy_journaled(&plan, &ctx, &stats);
-                (best.plan, journal)
-            }
-        };
-        self.metrics.record_journal(&journal);
-        self.telemetry.registry.inc("reoptimize.triggered");
-        let cost_after = cost_of(&new_plan, &stats);
-        let mut out = format!("re-optimization of `{label}`: worst q-error {trigger:.1}\n");
-        for (name, before, after) in &corrected {
-            out.push_str(&format!(
-                "  corrected {name}: rows {before:.0} -> {after:.0}\n"
-            ));
-        }
-        out.push_str(&format!("  cost {cost_before:.0} -> {cost_after:.0}\n"));
-        self.last_plan = Some((label, new_plan, plan_hash));
-        Some(out)
+        let report = pipeline::reoptimize(
+            &snapshot.registry,
+            &snapshot.catalog,
+            &snapshot.store,
+            &mut stats,
+            self.optimizer_mode,
+            &mut self.run,
+            1.0,
+        )?;
+        self.stats_overlay = Some(Arc::new(stats));
+        Some(report.render())
     }
 
     /// Run a read-only program — `range of` declarations and `retrieve`
@@ -765,7 +701,49 @@ impl Session {
                 }
                 Stmt::Retrieve(r) if r.into.is_none() => {
                     let parse_us = pending_parse.take().unwrap_or(0);
-                    last = Some(self.run_retrieve(source.trim(), &r, parse_us)?);
+                    // Translate under the merged range environment:
+                    // committed declarations from the generation,
+                    // session-local ones on top.
+                    let snapshot = self.snapshot.clone();
+                    let started = Instant::now();
+                    let mut ranges = (*snapshot.ranges).clone();
+                    ranges.extend(self.local_ranges.clone());
+                    let tc = TranslateCtx {
+                        registry: &snapshot.registry,
+                        schemas: &*snapshot.catalog,
+                        ranges: &ranges,
+                        methods: &snapshot.methods,
+                        this_type: None,
+                        params: vec![],
+                    };
+                    let (plan, _) = translate_retrieve(&r, &tc)?;
+                    let translate_us = started.elapsed().as_micros() as u64;
+                    let stats = self.effective_stats();
+                    let view = View {
+                        registry: &snapshot.registry,
+                        catalog: &snapshot.catalog,
+                        stats: &stats,
+                    };
+                    let opts = RunOptions {
+                        optimize: self.optimize,
+                        mode: self.optimizer_mode,
+                        property_rewrites: false,
+                        columnar: false,
+                        exec: ExecConfig::serial(),
+                    };
+                    let out = pipeline::run(
+                        view,
+                        &mut self.scratch,
+                        &mut self.run,
+                        opts,
+                        source.trim(),
+                        &plan,
+                        &[("parse", parse_us), ("translate", translate_us)],
+                    )?;
+                    last = Some(QueryOutcome {
+                        generation: snapshot.number,
+                        ..out
+                    });
                 }
                 Stmt::Retrieve(_) => {
                     return Err(DbError::Other(
@@ -793,150 +771,6 @@ impl Session {
         }))
     }
 
-    /// The snapshot query pipeline: translate → optimize (journaled,
-    /// dual desugared pass + extent-index substitution, mirroring
-    /// [`Database::optimize_plan_journaled`]) → lower (journaled) →
-    /// execute on the serial engine against the pinned generation.
-    fn run_retrieve(&mut self, label: &str, r: &Retrieve, parse_us: u64) -> DbResult<QueryOutcome> {
-        let snapshot = self.snapshot.clone();
-        let stats = self.effective_stats();
-        let mut phases: Vec<(&'static str, u64)> = vec![("parse", parse_us)];
-
-        // Translate under the merged range environment: committed
-        // declarations from the generation, session-local ones on top.
-        let started = Instant::now();
-        let mut ranges = (*snapshot.ranges).clone();
-        ranges.extend(self.local_ranges.clone());
-        let tc = TranslateCtx {
-            registry: &snapshot.registry,
-            schemas: &*snapshot.catalog,
-            ranges: &ranges,
-            methods: &snapshot.methods,
-            this_type: None,
-            params: vec![],
-        };
-        let (plan, _ty) = translate_retrieve(r, &tc)?;
-        phases.push(("translate", started.elapsed().as_micros() as u64));
-
-        let plan = if self.optimize {
-            let started = Instant::now();
-            let ctx = RuleCtx {
-                registry: &snapshot.registry,
-                schemas: &*snapshot.catalog,
-            };
-            let opt = Optimizer::standard();
-            let (best, mut journal) = match self.optimizer_mode {
-                OptimizerMode::Memo => {
-                    let (best, run) = opt.optimize_memo_journaled(&plan, &ctx, &stats);
-                    self.last_memo = Some(run.snapshot);
-                    (best.plan, run.journal)
-                }
-                OptimizerMode::Greedy => {
-                    let (a, ja) = opt.optimize_greedy_journaled(&plan, &ctx, &stats);
-                    let (b, jb) = opt.optimize_greedy_journaled(&plan.desugar(), &ctx, &stats);
-                    if b.cost < a.cost {
-                        (b.plan, jb)
-                    } else {
-                        (a.plan, ja)
-                    }
-                }
-            };
-            let best = apply_extent_indexes_journaled(&best, &stats, &ctx, &mut journal);
-            self.metrics.record_journal(&journal);
-            phases.push(("optimize", started.elapsed().as_micros() as u64));
-            best
-        } else {
-            plan
-        };
-
-        let started = Instant::now();
-        let cost = cost_of(&plan, &stats);
-        let mut journal = RewriteJournal {
-            steps: Vec::new(),
-            refused: Vec::new(),
-            plans_enumerated: 1,
-            max_plans: 0,
-            initial_cost: cost,
-            final_cost: cost,
-        };
-        let physical = lower_journaled(&plan, &stats, &mut journal);
-        self.metrics.record_journal(&journal);
-        phases.push(("lower", started.elapsed().as_micros() as u64));
-        let plan_hash = fnv1a64(format!("{physical:?}").as_bytes());
-        self.last_plan = Some((label.to_string(), plan.clone(), plan_hash));
-
-        let started = Instant::now();
-        let (out, counters) = {
-            let mut ctx = EvalCtx::new(&snapshot.registry, &mut self.scratch, &*snapshot.catalog);
-            (evaluate_physical(&physical, &mut ctx), ctx.counters)
-        };
-        let wall = started.elapsed();
-        self.metrics.record_query(counters, wall);
-        phases.push(("execute", wall.as_micros() as u64));
-        let value = out?;
-
-        let rows = match &value {
-            Value::Set(s) => s.len(),
-            Value::Array(a) => a.len() as u64,
-            _ => 1,
-        };
-        let total_us: u64 = phases.iter().map(|(_, us)| us).sum();
-        self.telemetry.registry.inc("queries");
-        self.telemetry.registry.inc("queries.serial");
-        self.telemetry.registry.observe("query_us", total_us);
-        for (name, us) in &phases {
-            self.telemetry
-                .registry
-                .observe(&format!("phase.{name}_us"), *us);
-        }
-        for (name, v) in counters.named_fields() {
-            self.telemetry.registry.add(&format!("work.{name}"), v);
-        }
-        let kernels: Vec<(String, String)> = physical
-            .choices
-            .iter()
-            .filter(|(_, c)| !matches!(c.op, excess_core::physical::PhysOp::PassThrough))
-            .map(|(path, c)| (excess_core::profile::path_string(path), c.op.to_string()))
-            .collect();
-        let est_rows = physical.choices.get(&Vec::new()).and_then(|c| c.est_rows);
-        // Root-level misestimation feeds the session feedback log — the
-        // signal `.reoptimize` acts on.
-        if let Some(est) = est_rows {
-            let op = physical
-                .choices
-                .get(&Vec::new())
-                .map(|c| c.op.to_string())
-                .unwrap_or_else(|| "root".to_string());
-            self.telemetry.feedback.observe(
-                plan_hash,
-                "root",
-                &op,
-                extent_at(&plan, &[]).as_deref(),
-                est,
-                rows as f64,
-            );
-        }
-        self.telemetry.recorder.record(QueryRecord {
-            query: label.to_string(),
-            plan_hash,
-            engine: "serial".to_string(),
-            rows,
-            phase_us: phases.clone(),
-            kernels,
-            est_rows,
-            actual_rows: Some(rows),
-        });
-
-        Ok(QueryOutcome {
-            value,
-            rows,
-            generation: snapshot.number,
-            plan_hash,
-            phase_us: phases,
-            total_us,
-        })
-    }
-
     /// Send a program to the committer; on success, re-pin this session
     /// to the generation the commit published (read-your-writes).
     /// Returns the last statement's value and that generation.
@@ -958,7 +792,7 @@ impl Drop for Session {
         }
         self.closed = true;
         self.db
-            .merge_session(&self.metrics, &self.telemetry.registry);
+            .merge_session(&self.run.metrics, &self.run.telemetry.registry);
         self.db
             .shared
             .sessions_closed

@@ -43,7 +43,7 @@ use crate::journal::{ExecEvent, ExecReport, Strategy, WorkerStats};
 use crate::partition::{chunk_partitions, hash_partitions, value_hash};
 
 /// Profiling mode for a parallel run (mirrors the serial evaluator's
-/// `enable_tracing` / `enable_coarse_tracing` split).
+/// opt-in `enable_tracing`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tracing {
     /// No per-operator profile (counters are still collected).
@@ -51,8 +51,6 @@ pub enum Tracing {
     Off,
     /// Two clock samples per traced node (exact self/total wall split).
     Precise,
-    /// One clock sample per traced node (smaller observer effect).
-    Coarse,
 }
 
 impl Tracing {
@@ -60,7 +58,6 @@ impl Tracing {
         match self {
             Tracing::Off => None,
             Tracing::Precise => Some(Box::new(TraceSink::new())),
-            Tracing::Coarse => Some(Box::new(TraceSink::new_coarse())),
         }
     }
 }

@@ -133,7 +133,8 @@ fn figure_plans_match_serial_through_database_api() {
     // And the engine actually parallelised something on the figure pair.
     let mut db = ex1();
     db.set_exec_config(cfg);
-    let (_, report) = db.run_plan_parallel_report(&figure8()).unwrap();
+    db.run_plan_parallel(&figure8()).unwrap();
+    let report = db.last_exec_report().unwrap().clone();
     assert!(
         report.parallel_nodes() > 0,
         "figure 8 should parallelise, events: {:?}",
@@ -168,7 +169,8 @@ fn skewed_data_still_matches_and_reports_empty_partitions() {
 
     let mut db = make_db();
     db.set_exec_config(cfg);
-    let (_, report) = db.run_plan_parallel_report(&plan).unwrap();
+    db.run_plan_parallel(&plan).unwrap();
+    let report = db.last_exec_report().unwrap().clone();
     let exchange_empty = report
         .events
         .iter()
@@ -198,7 +200,8 @@ fn order_sensitive_array_operators_fall_back_serially_and_keep_order() {
 
     let mut db = common::database();
     db.set_exec_config(ExecConfig::with_workers(4));
-    let (parallel, report) = db.run_plan_parallel_report(&plan).unwrap();
+    let parallel = db.run_plan_parallel(&plan).unwrap();
+    let report = db.last_exec_report().unwrap().clone();
     assert_eq!(
         serial, parallel,
         "array results must be exactly equal, order included"
@@ -266,7 +269,8 @@ fn equi_join_exchange_fires_and_matches() {
 
     let mut db = make_db();
     db.set_exec_config(cfg);
-    let (_, report) = db.run_plan_parallel_report(&plan).unwrap();
+    db.run_plan_parallel(&plan).unwrap();
+    let report = db.last_exec_report().unwrap().clone();
     assert!(
         report
             .events
@@ -301,7 +305,8 @@ fn chunk_and_hash_strategies_preserve_exact_counters() {
 
         let mut db = common::database();
         db.set_exec_config(ExecConfig::with_workers(3));
-        let (_, report) = db.run_plan_parallel_report(&plan).unwrap();
+        db.run_plan_parallel(&plan).unwrap();
+        let report = db.last_exec_report().unwrap().clone();
         assert_eq!(
             db.last_counters(),
             serial_counters,

@@ -2,10 +2,10 @@
 //!
 //! The profiler's telescope invariant — the sum of every node's *self*
 //! counters equals the query totals — must survive the engine's
-//! fragment-plan merging, in both precise and coarse tracing modes.  The
-//! session metrics must record the serial/parallel query split and the
-//! worker count, and the parallel path must be reachable through the
-//! surface language (`Database::execute`).
+//! fragment-plan merging.  The session metrics must record the
+//! serial/parallel query split and the worker count, and the parallel
+//! path must be reachable through the surface language
+//! (`Database::execute`).
 
 mod common;
 
@@ -38,21 +38,6 @@ fn precise_profiles_telescope_to_query_totals() {
             "precise profile of {plan} does not telescope"
         );
         assert_eq!(profile.total, db.last_counters());
-    }
-}
-
-#[test]
-fn coarse_profiles_telescope_to_query_totals() {
-    // Coarse mode halves the clock reads; counters must stay exact.
-    for plan in profiled_plans() {
-        let mut db = common::database();
-        db.set_threads(3);
-        let (_, profile) = db.run_plan_parallel_profiled_coarse(&plan).unwrap();
-        assert_eq!(
-            profile.sum_of_self_counters(),
-            db.last_counters(),
-            "coarse profile of {plan} does not telescope"
-        );
     }
 }
 

@@ -146,6 +146,23 @@ fn memo_and_reoptimize_dot_commands_answer_over_the_wire() {
 }
 
 #[test]
+fn session_reoptimize_re_collects_extents_behind_grouped_roots() {
+    // The root of this query outputs one row per department: that count
+    // says nothing about S1's size, so the correction must re-collect S1
+    // from the pinned generation instead of snapping its rows to the
+    // number of groups.
+    let vdb = VersionedDb::new(server_mix_db(120));
+    let mut session = vdb.begin_session();
+    session
+        .query("retrieve unique (S1.sadv) by S1.sdept")
+        .expect("query");
+    let _ = session.reoptimize_last();
+    assert_eq!(session.effective_stats().object("S1").rows, 120.0);
+    drop(session);
+    vdb.shutdown();
+}
+
+#[test]
 fn connection_metrics_reach_the_global_registry_after_shutdown() {
     let vdb = VersionedDb::new(server_mix_db(20));
     let handle = serve(vdb, "127.0.0.1:0").expect("bind");
