@@ -4,7 +4,7 @@
 use crate::catalog::DbCatalog;
 use crate::error::{DbError, DbResult};
 use crate::metrics::SessionMetrics;
-use crate::pipeline::{self, Plan, ReoptReport, RunOptions, RunState, View};
+use crate::pipeline::{self, ReoptReport, RunOptions, RunState, View};
 use crate::stats::{collect_object_statistics, collect_statistics};
 use excess_core::counters::Counters;
 use excess_core::expr::Expr;
@@ -852,7 +852,11 @@ impl Database {
 
     /// Evaluate on the serial engine, recording work counters and session
     /// metrics.
-    fn run_serial(&mut self, plan: Plan<'_>, profile: bool) -> DbResult<(Value, Option<Profile>)> {
+    fn run_serial(
+        &mut self,
+        plan: &PhysicalPlan,
+        profile: bool,
+    ) -> DbResult<(Value, Option<Profile>)> {
         let (view, store, run) = self.parts();
         pipeline::run_serial(view, store, run, plan, profile)
     }
@@ -860,9 +864,9 @@ impl Database {
     /// Evaluate on the partition-parallel engine under the session's
     /// [`ExecConfig`], recording counters, session metrics, and the
     /// execution journal.
-    fn run_parallel(
+    fn run_parallel_engine(
         &mut self,
-        plan: Plan<'_>,
+        plan: &PhysicalPlan,
         profile: bool,
     ) -> DbResult<(Value, Option<Profile>)> {
         let exec = self.exec;
@@ -871,9 +875,12 @@ impl Database {
     }
 
     /// Evaluate a plan against the database, recording work counters —
-    /// the reference evaluator every engine is checked against.
+    /// the reference evaluator every engine is checked against (a
+    /// [`PhysicalPlan::passthrough`] overlay installs no kernel).
     pub fn run_plan(&mut self, plan: &Expr) -> DbResult<Value> {
-        Ok(self.run_serial(Plan::Logical(plan), false)?.0)
+        Ok(self
+            .run_serial(&PhysicalPlan::passthrough(plan.clone()), false)?
+            .0)
     }
 
     /// Evaluate a lowered plan with the serial engine's physical
@@ -882,7 +889,7 @@ impl Database {
     /// exactly as [`Database::run_plan`].  Counters and session metrics
     /// are recorded identically.
     pub fn run_plan_physical(&mut self, plan: &PhysicalPlan) -> DbResult<Value> {
-        Ok(self.run_serial(Plan::Physical(plan), false)?.0)
+        Ok(self.run_serial(plan, false)?.0)
     }
 
     /// [`Database::run_plan_physical`] with per-operator profiling.
@@ -890,7 +897,7 @@ impl Database {
         &mut self,
         plan: &PhysicalPlan,
     ) -> DbResult<(Value, Profile)> {
-        let (v, p) = self.run_serial(Plan::Physical(plan), true)?;
+        let (v, p) = self.run_serial(plan, true)?;
         Ok((v, p.expect("tracing was enabled")))
     }
 
@@ -900,7 +907,7 @@ impl Database {
     /// as fragment bodies.  Accounting matches
     /// [`Database::run_plan_parallel`].
     pub fn run_plan_physical_parallel(&mut self, plan: &PhysicalPlan) -> DbResult<Value> {
-        Ok(self.run_parallel(Plan::Physical(plan), false)?.0)
+        Ok(self.run_parallel_engine(plan, false)?.0)
     }
 
     /// Evaluate a plan with the partition-parallel engine under the
@@ -909,9 +916,13 @@ impl Database {
     /// session metrics, and the execution journal
     /// ([`Database::last_exec_report`]) are recorded.  Plans that fail
     /// verification, mint OIDs, or run under one worker fall back to
-    /// serial evaluation with a journaled reason.
+    /// serial evaluation with a journaled reason.  The plan runs as a
+    /// [`PhysicalPlan::passthrough`]: equi-joins probe their materialised
+    /// inputs for a hash-key exchange.
     pub fn run_plan_parallel(&mut self, plan: &Expr) -> DbResult<Value> {
-        Ok(self.run_parallel(Plan::Logical(plan), false)?.0)
+        Ok(self
+            .run_parallel_engine(&PhysicalPlan::passthrough(plan.clone()), false)?
+            .0)
     }
 
     /// [`Database::run_plan_parallel`] with per-operator profiling: the
@@ -919,7 +930,7 @@ impl Database {
     /// paths), and its self-counter sum telescopes to the query totals
     /// exactly as in serial profiling.
     pub fn run_plan_parallel_profiled(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        let (v, p) = self.run_parallel(Plan::Logical(plan), true)?;
+        let (v, p) = self.run_parallel_engine(&PhysicalPlan::passthrough(plan.clone()), true)?;
         Ok((v, p.expect("tracing was enabled")))
     }
 
@@ -928,7 +939,7 @@ impl Database {
     /// session metrics are recorded exactly as by [`Database::run_plan`]
     /// (profiling changes neither results nor counters).
     pub fn run_plan_profiled(&mut self, plan: &Expr) -> DbResult<(Value, Profile)> {
-        let (v, p) = self.run_serial(Plan::Logical(plan), true)?;
+        let (v, p) = self.run_serial(&PhysicalPlan::passthrough(plan.clone()), true)?;
         Ok((v, p.expect("tracing was enabled")))
     }
 
@@ -948,9 +959,9 @@ impl Database {
         let physical = self.lower_plan(plan);
         let parallel = self.exec.is_parallel();
         let (_, profile) = if parallel {
-            self.run_parallel(Plan::Physical(&physical), true)?
+            self.run_parallel_engine(&physical, true)?
         } else {
-            self.run_serial(Plan::Physical(&physical), true)?
+            self.run_serial(&physical, true)?
         };
         let profile = profile.expect("tracing was enabled");
         let report = parallel

@@ -15,11 +15,11 @@ use crate::error::DbResult;
 use crate::metrics::SessionMetrics;
 use crate::stats::collect_object_statistics;
 use excess_core::counters::Counters;
-use excess_core::eval::{evaluate, EvalCtx};
+use excess_core::eval::EvalCtx;
 use excess_core::expr::Expr;
 use excess_core::physical::{evaluate_physical, PhysOp, PhysicalPlan};
 use excess_core::profile::{path_string, NodePath, Profile};
-use excess_exec::{run_parallel, run_parallel_plan, ExecConfig, ExecReport, Tracing};
+use excess_exec::{run_parallel_plan, ExecConfig, ExecReport};
 use excess_optimizer::{
     annotate_columnar, apply_extent_indexes_journaled, cost_of, elide_proven_guards,
     estimate_physical, lower_journaled, JournalStep, MemoSnapshot, Optimizer, OptimizerMode,
@@ -145,13 +145,6 @@ pub(crate) struct RunState {
     pub(crate) last_counters: Counters,
     /// Execution journal of the most recent parallel evaluation.
     pub(crate) last_exec_report: Option<ExecReport>,
-}
-
-/// What an engine evaluates: the bare logical tree or a lowered plan.
-#[derive(Clone, Copy)]
-pub(crate) enum Plan<'a> {
-    Logical(&'a Expr),
-    Physical(&'a PhysicalPlan),
 }
 
 /// Occurrences in a query result (what the flight recorder reports as
@@ -319,7 +312,7 @@ pub(crate) fn run_serial(
     view: View<'_>,
     store: &mut ObjectStore,
     state: &mut RunState,
-    plan: Plan<'_>,
+    plan: &PhysicalPlan,
     profile: bool,
 ) -> DbResult<(Value, Option<Profile>)> {
     let started = Instant::now();
@@ -328,10 +321,7 @@ pub(crate) fn run_serial(
         if profile {
             ctx.enable_tracing();
         }
-        let out = match plan {
-            Plan::Logical(e) => evaluate(e, &mut ctx),
-            Plan::Physical(pp) => evaluate_physical(pp, &mut ctx),
-        };
+        let out = evaluate_physical(plan, &mut ctx);
         (out, ctx.counters, ctx.take_profile())
     };
     state.last_counters = counters;
@@ -340,44 +330,28 @@ pub(crate) fn run_serial(
 }
 
 /// Evaluate on the partition-parallel engine under `exec` (profiled on
-/// request) and record the run's counters and execution journal.  A
-/// logical plan takes the engine's own strategy derivation; a lowered
-/// plan partitions by its kernel choices.
+/// request) and record the run's counters and execution journal.  The
+/// engine partitions by the plan's kernel choices; nodes without one
+/// (a [`PhysicalPlan::passthrough`] plan) probe their inputs.
 pub(crate) fn run_parallel_engine(
     view: View<'_>,
     store: &mut ObjectStore,
     state: &mut RunState,
-    plan: Plan<'_>,
+    plan: &PhysicalPlan,
     exec: ExecConfig,
     profile: bool,
 ) -> DbResult<(Value, Option<Profile>)> {
-    let tracing = if profile {
-        Tracing::Precise
-    } else {
-        Tracing::Off
-    };
     let started = Instant::now();
     let schemas = Some(view.catalog as &dyn excess_core::infer::SchemaCatalog);
-    let out = match plan {
-        Plan::Logical(e) => run_parallel(
-            e,
-            view.registry,
-            store,
-            view.catalog,
-            schemas,
-            exec,
-            tracing,
-        ),
-        Plan::Physical(pp) => run_parallel_plan(
-            pp,
-            view.registry,
-            store,
-            view.catalog,
-            schemas,
-            exec,
-            tracing,
-        ),
-    };
+    let out = run_parallel_plan(
+        plan,
+        view.registry,
+        store,
+        view.catalog,
+        schemas,
+        exec,
+        profile,
+    );
     let wall = started.elapsed();
     let out = out?;
     state.last_counters = out.counters;
@@ -623,16 +597,9 @@ pub(crate) fn run(
     let exec_start = now();
     let parallel = opts.exec.is_parallel();
     let (value, profile) = if parallel {
-        run_parallel_engine(
-            view,
-            store,
-            state,
-            Plan::Physical(&physical),
-            opts.exec,
-            spans,
-        )?
+        run_parallel_engine(view, store, state, &physical, opts.exec, spans)?
     } else {
-        run_serial(view, store, state, Plan::Physical(&physical), spans)?
+        run_serial(view, store, state, &physical, spans)?
     };
     let exec_dur = now().saturating_sub(exec_start);
     phases.push(("execute", exec_dur));

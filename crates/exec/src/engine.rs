@@ -5,7 +5,7 @@
 //! operator as a *fragment plan* over `Const` partitions, and ships the
 //! fragments to a fixed pool of worker threads where the ordinary serial
 //! evaluator runs them.  Because fragments are evaluated by the very same
-//! [`evaluate`] the serial engine uses, partition-local semantics —
+//! [`evaluate_physical`] the serial engine uses, partition-local semantics —
 //! three-valued predicates, `dne` dropping, occurrence counting — are
 //! inherited rather than re-implemented.
 //!
@@ -31,7 +31,7 @@ use excess_core::eval::{evaluate, EvalCtx};
 use excess_core::expr::{Expr, Pred};
 use excess_core::infer::SchemaCatalog;
 use excess_core::physical::{
-    evaluate_physical, key_pair_usable, usable_equi_key, PhysOp, PhysicalPlan,
+    evaluate_physical, key_pair_usable, usable_equi_key, PhysChoice, PhysOp, PhysicalPlan,
 };
 use excess_core::profile::{NodePath, Profile, TraceSink};
 use excess_core::render::op_label;
@@ -42,24 +42,10 @@ use crate::config::ExecConfig;
 use crate::journal::{ExecEvent, ExecReport, Strategy, WorkerStats};
 use crate::partition::{chunk_partitions, hash_partitions, value_hash};
 
-/// Profiling mode for a parallel run (mirrors the serial evaluator's
-/// opt-in `enable_tracing`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tracing {
-    /// No per-operator profile (counters are still collected).
-    #[default]
-    Off,
-    /// Two clock samples per traced node (exact self/total wall split).
-    Precise,
-}
-
-impl Tracing {
-    fn sink(self) -> Option<Box<TraceSink>> {
-        match self {
-            Tracing::Off => None,
-            Tracing::Precise => Some(Box::new(TraceSink::new())),
-        }
-    }
+/// A fresh trace sink when profiling was requested (mirrors the serial
+/// evaluator's opt-in `enable_tracing`).
+fn sink(profile: bool) -> Option<Box<TraceSink>> {
+    profile.then(|| Box::new(TraceSink::new()))
 }
 
 /// Everything a parallel run produces: the value, the merged counters
@@ -98,13 +84,12 @@ struct Task {
 }
 
 enum TaskKind {
-    /// Evaluate a closed fragment plan with the serial evaluator.
-    Eval(Expr),
-    /// Evaluate a closed `rel_join` fragment with the hash equi-join
-    /// kernel on the given `(left_key, right_key)` — the same kernel the
-    /// serial physical interpreter uses, shipped when the lowered plan
-    /// chose `HashEquiJoin` for the exchanged node.
-    EvalHashJoin(Expr, (String, String)),
+    /// Evaluate a closed fragment plan with the serial physical
+    /// interpreter.  Most fragments carry no choices (plain serial
+    /// evaluation); an exchanged `rel_join` fragment carries the root
+    /// `HashEquiJoin` choice, so the worker runs the same hash kernel the
+    /// serial interpreter uses.
+    Eval(PhysicalPlan),
     /// Phase 2 of the GRP exchange: group `{k, v}` pairs by `k`.  This is
     /// plain `BTreeMap` insertion — the serial GRP's grouping step is
     /// likewise counter-free, so workers touch no counters here.
@@ -141,71 +126,33 @@ fn internal_err(op: &'static str, found: &Value) -> EvalError {
     }
 }
 
-/// Execute `plan` with `config.workers` threads.
+/// Execute a physical plan with `config.workers` threads.
 ///
 /// The result is always `canon`-identical to serial evaluation, and for
 /// chunk/hash-partitioned operators the merged counters are *equal* to the
 /// serial counters (the hash-key equi-join exchange legitimately performs
 /// fewer comparisons than the serial nested loop; the journal records
-/// where).  The whole plan falls back to serial — with a journaled reason
-/// — when `workers <= 1`, when the plan mints OIDs (`REF` must mutate the
-/// shared store), or when `schemas` is supplied and the plan fails
-/// verification.
-pub fn run_parallel<C: Catalog + Sync>(
-    plan: &Expr,
-    registry: &TypeRegistry,
-    store: &mut ObjectStore,
-    catalog: &C,
-    schemas: Option<&dyn SchemaCatalog>,
-    config: ExecConfig,
-    tracing: Tracing,
-) -> EvalResult<ExecOutcome> {
-    run_parallel_impl(
-        plan, None, registry, store, catalog, schemas, config, tracing,
-    )
-}
-
-/// Execute a *lowered* plan with `config.workers` threads.
-///
-/// Like [`run_parallel`], but the driver consults the plan's physical
-/// choices instead of re-deriving strategies: a `rel_join` annotated
-/// `HashEquiJoin` takes the hash-key exchange (with the same runtime
-/// guard the serial kernel uses), and its fragments run the shared hash
-/// equi-join kernel on the workers; a join annotated `NestedLoopJoin`
-/// broadcasts.  The whole-plan serial fallbacks run the physical
-/// interpreter, so kernel choices survive them.
+/// where).  The driver follows the plan's physical choices: a `rel_join`
+/// annotated `HashEquiJoin` takes the hash-key exchange (with the same
+/// runtime guard the serial kernel uses) and its fragments run the shared
+/// hash equi-join kernel on the workers; a join annotated with any other
+/// choice broadcasts; a join with no choice (for example in
+/// [`PhysicalPlan::passthrough`]) probes its materialised inputs for a
+/// usable equi key.  The whole plan falls back to the serial physical
+/// interpreter — with a journaled reason — when `workers <= 1`, when the
+/// plan mints OIDs (`REF` must mutate the shared store), or when
+/// `schemas` is supplied and the plan fails verification.  `profile`
+/// collects a merged per-operator profile.
 pub fn run_parallel_plan<C: Catalog + Sync>(
-    plan: &PhysicalPlan,
+    physical: &PhysicalPlan,
     registry: &TypeRegistry,
     store: &mut ObjectStore,
     catalog: &C,
     schemas: Option<&dyn SchemaCatalog>,
     config: ExecConfig,
-    tracing: Tracing,
+    profile: bool,
 ) -> EvalResult<ExecOutcome> {
-    run_parallel_impl(
-        &plan.logical,
-        Some(plan),
-        registry,
-        store,
-        catalog,
-        schemas,
-        config,
-        tracing,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_impl<C: Catalog + Sync>(
-    plan: &Expr,
-    physical: Option<&PhysicalPlan>,
-    registry: &TypeRegistry,
-    store: &mut ObjectStore,
-    catalog: &C,
-    schemas: Option<&dyn SchemaCatalog>,
-    config: ExecConfig,
-    tracing: Tracing,
-) -> EvalResult<ExecOutcome> {
+    let plan = &physical.logical;
     let workers = config.workers.max(1);
     let serial_reason = if workers <= 1 {
         Some("single worker configured".to_string())
@@ -232,11 +179,8 @@ fn run_parallel_impl<C: Catalog + Sync>(
             reason,
         });
         let mut ctx = EvalCtx::new(registry, store, catalog);
-        ctx.trace = tracing.sink();
-        let value = match physical {
-            Some(pp) => evaluate_physical(pp, &mut ctx)?,
-            None => evaluate(plan, &mut ctx)?,
-        };
+        ctx.trace = sink(profile);
+        let value = evaluate_physical(physical, &mut ctx)?;
         return Ok(ExecOutcome {
             value,
             counters: ctx.counters,
@@ -263,7 +207,7 @@ fn run_parallel_impl<C: Catalog + Sync>(
             let res_tx = res_tx.clone();
             let snap = &snapshot;
             handles.push(s.spawn(move || {
-                worker_loop(wid, registry, catalog, snap, tracing, origin, rx, res_tx)
+                worker_loop(wid, registry, catalog, snap, profile, origin, rx, res_tx)
             }));
         }
         drop(res_tx);
@@ -274,7 +218,7 @@ fn run_parallel_impl<C: Catalog + Sync>(
             store,
             physical,
             counters: Counters::new(),
-            trace: tracing.sink(),
+            trace: sink(profile),
             partitions,
             workers,
             task_txs,
@@ -313,14 +257,10 @@ fn run_parallel_impl<C: Catalog + Sync>(
             });
         }
         report.worker_stats.sort_by_key(|w| w.worker);
-        let profile = match tracing {
-            Tracing::Off => None,
-            _ => Some(Profile::merge(profiles)),
-        };
         Ok(ExecOutcome {
             value: value?,
             counters: total,
-            profile,
+            profile: profile.then(|| Profile::merge(profiles)),
             report,
         })
     })
@@ -332,7 +272,7 @@ fn worker_loop<C: Catalog>(
     registry: &TypeRegistry,
     catalog: &C,
     snapshot: &Option<ObjectStore>,
-    tracing: Tracing,
+    profile: bool,
     origin: Instant,
     rx: mpsc::Receiver<Task>,
     res_tx: mpsc::Sender<(usize, EvalResult<Value>)>,
@@ -343,7 +283,7 @@ fn worker_loop<C: Catalog>(
         None => ObjectStore::new(),
     };
     let mut counters = Counters::new();
-    let mut trace = tracing.sink();
+    let mut trace = sink(profile);
     let mut busy = Duration::ZERO;
     let mut tasks = 0u64;
     let mut occurrences = 0u64;
@@ -356,40 +296,7 @@ fn worker_loop<C: Catalog>(
                 let mut ctx = EvalCtx::new(registry, &mut store, catalog);
                 ctx.counters = counters;
                 ctx.trace = trace.take();
-                let r = evaluate(&frag, &mut ctx);
-                counters = ctx.counters;
-                trace = ctx.trace.take();
-                r
-            }
-            TaskKind::EvalHashJoin(frag, (left_key, right_key)) => {
-                // Re-root the kernel choice on the fragment: the shipped
-                // plan is the `rel_join` node itself over `Const`
-                // partitions, so the choice path is empty.
-                let mut choices = BTreeMap::new();
-                choices.insert(
-                    Vec::new(),
-                    excess_core::physical::PhysChoice {
-                        op: PhysOp::HashEquiJoin {
-                            left_key,
-                            right_key,
-                        },
-                        why: String::new(),
-                        est_rows: None,
-                    },
-                );
-                let pp = PhysicalPlan {
-                    logical: frag,
-                    choices,
-                    // Worker fragments always keep the runtime guard:
-                    // guard elision is proven against whole-input
-                    // properties, which partitioning does not preserve
-                    // claim-for-claim.
-                    elided_guards: Default::default(),
-                };
-                let mut ctx = EvalCtx::new(registry, &mut store, catalog);
-                ctx.counters = counters;
-                ctx.trace = trace.take();
-                let r = evaluate_physical(&pp, &mut ctx);
+                let r = evaluate_physical(&frag, &mut ctx);
                 counters = ctx.counters;
                 trace = ctx.trace.take();
                 r
@@ -456,11 +363,9 @@ struct Driver<'a> {
     registry: &'a TypeRegistry,
     catalog: &'a dyn Catalog,
     store: &'a mut ObjectStore,
-    /// The lowered plan being executed, when the caller came through
-    /// [`run_parallel_plan`] — the driver consults its choices (keyed by
-    /// the same child-index paths the driver maintains) instead of
-    /// re-deriving join strategies.
-    physical: Option<&'a PhysicalPlan>,
+    /// The physical plan being executed — the driver consults its choices,
+    /// keyed by the same child-index paths the driver maintains.
+    physical: &'a PhysicalPlan,
     counters: Counters,
     trace: Option<Box<TraceSink>>,
     partitions: usize,
@@ -525,17 +430,23 @@ impl<'a> Driver<'a> {
         Ok(Value::Set(acc))
     }
 
-    fn eval_tasks(&mut self, frags: Vec<(Expr, u64)>) -> EvalResult<Value> {
+    /// Ship choice-free fragment plans, one per partition, and return
+    /// their results in partition order.
+    fn eval_batch(&mut self, frags: Vec<(Expr, u64)>) -> Vec<EvalResult<Value>> {
         let tasks = frags
             .into_iter()
             .enumerate()
             .map(|(part, (frag, occurrences))| Task {
                 part,
                 occurrences,
-                kind: TaskKind::Eval(frag),
+                kind: TaskKind::Eval(PhysicalPlan::passthrough(frag)),
             })
             .collect();
-        let results = self.run_batch(tasks);
+        self.run_batch(tasks)
+    }
+
+    fn eval_tasks(&mut self, frags: Vec<(Expr, u64)>) -> EvalResult<Value> {
+        let results = self.eval_batch(frags);
         self.merge_batch(results)
     }
 
@@ -689,17 +600,8 @@ impl<'a> Driver<'a> {
                     occ,
                 )
             })
-            .collect::<Vec<_>>();
-        let tasks = frags
-            .into_iter()
-            .enumerate()
-            .map(|(part, (frag, occurrences))| Task {
-                part,
-                occurrences,
-                kind: TaskKind::Eval(frag),
-            })
             .collect();
-        let results = self.run_batch(tasks);
+        let results = self.eval_batch(frags);
 
         let mut keyed = vec![MultiSet::new(); self.partitions];
         for r in results {
@@ -760,11 +662,7 @@ impl<'a> Driver<'a> {
         if self.trace.is_some() {
             return None;
         }
-        let object = match self
-            .physical
-            .and_then(|pp| pp.choices.get(path.as_slice()))
-            .map(|c| &c.op)
-        {
+        let object = match self.physical.choices.get(path.as_slice()).map(|c| &c.op) {
             Some(PhysOp::ColumnarScan { object }) => object,
             _ => return None,
         };
@@ -810,15 +708,14 @@ impl<'a> Driver<'a> {
         Some(self.merge_batch(results))
     }
 
-    /// rel_join strategy selection.
+    /// rel_join strategy selection, by the plan's choice at this node.
     ///
-    /// With a lowered plan the choice is the plan's: `HashEquiJoin` takes
-    /// the hash-key exchange — after the same runtime guard the serial
-    /// kernel applies (both key orientations) — and ships fragments that
-    /// run the shared hash kernel on the workers; anything else (or a
-    /// failed guard) broadcasts and the fragments run the nested loop.
-    /// Without a plan the driver probes the materialised inputs itself,
-    /// exactly as before the physical layer existed.
+    /// `HashEquiJoin` takes the hash-key exchange — after the same runtime
+    /// guard the serial kernel applies (both key orientations) — and ships
+    /// fragments that run the shared hash kernel on the workers; any other
+    /// choice (or a failed guard) broadcasts and the fragments run the
+    /// nested loop.  With no choice at all the driver probes the
+    /// materialised inputs itself and exchanges plain fragments.
     fn rel_join(
         &mut self,
         node: &Expr,
@@ -836,12 +733,7 @@ impl<'a> Driver<'a> {
             (Value::Set(x), Value::Set(y)) => (x, y),
             (x, y) => return self.eval_main(&rebuild(Expr::Const(x), Expr::Const(y))),
         };
-        let lowered = self.physical.is_some();
-        let keys = match self
-            .physical
-            .and_then(|pp| pp.choices.get(path.as_slice()))
-            .map(|c| &c.op)
-        {
+        let (keys, kernel) = match self.physical.choices.get(path.as_slice()).map(|c| &c.op) {
             // A columnar join choice degrades to the row hash kernel on
             // the hash-key exchange — workers join materialised `Const`
             // partitions, where no chunk exists.
@@ -854,56 +746,71 @@ impl<'a> Driver<'a> {
                 right_key,
                 ..
             }) => {
-                if key_pair_usable(&sa, &sb, left_key, right_key) {
+                let keys = if key_pair_usable(&sa, &sb, left_key, right_key) {
                     Some((left_key.clone(), right_key.clone()))
                 } else if key_pair_usable(&sa, &sb, right_key, left_key) {
                     Some((right_key.clone(), left_key.clone()))
                 } else {
                     None
-                }
+                };
+                (keys, true)
             }
-            Some(_) => None,
-            None if !lowered => usable_equi_key(pred, &sa, &sb),
-            None => None,
+            Some(_) => (None, false),
+            None => (usable_equi_key(pred, &sa, &sb), false),
         };
-        if let Some((lf, rf)) = keys {
-            let pa = hash_by_field(&sa, &lf, self.partitions);
-            let pb = hash_by_field(&sb, &rf, self.partitions);
-            let empty = pa
-                .iter()
-                .zip(&pb)
-                .filter(|(x, y)| x.is_empty() && y.is_empty())
-                .count();
-            self.report.events.push(ExecEvent::Exchange {
-                path: path.clone(),
-                op: op_label(node),
-                keys: format!("{lf} = {rf}"),
-                partitions: pa.len(),
-                empty,
-            });
-            let kernel = lowered.then(|| (lf.clone(), rf.clone()));
-            let tasks = pa
-                .into_iter()
-                .zip(pb)
-                .enumerate()
-                .map(|(part, (x, y))| {
-                    let occurrences = x.len() + y.len();
-                    let frag = rebuild(Expr::Const(Value::Set(x)), Expr::Const(Value::Set(y)));
-                    Task {
-                        part,
-                        occurrences,
-                        kind: match &kernel {
-                            Some(k) => TaskKind::EvalHashJoin(frag, k.clone()),
-                            None => TaskKind::Eval(frag),
+        let Some((lf, rf)) = keys else {
+            return self.broadcast_right(node, path, sa, sb, &rebuild);
+        };
+        let pa = hash_by_field(&sa, &lf, self.partitions);
+        let pb = hash_by_field(&sb, &rf, self.partitions);
+        let empty = pa
+            .iter()
+            .zip(&pb)
+            .filter(|(x, y)| x.is_empty() && y.is_empty())
+            .count();
+        self.report.events.push(ExecEvent::Exchange {
+            path: path.clone(),
+            op: op_label(node),
+            keys: format!("{lf} = {rf}"),
+            partitions: pa.len(),
+            empty,
+        });
+        let tasks = pa
+            .into_iter()
+            .zip(pb)
+            .enumerate()
+            .map(|(part, (x, y))| {
+                let occurrences = x.len() + y.len();
+                let frag = rebuild(Expr::Const(Value::Set(x)), Expr::Const(Value::Set(y)));
+                let mut plan = PhysicalPlan::passthrough(frag);
+                if kernel {
+                    // The shipped plan is the `rel_join` node itself over
+                    // `Const` partitions, so the choice path is empty.
+                    // Worker fragments always keep the runtime guard:
+                    // guard elision is proven against whole-input
+                    // properties, which partitioning does not preserve
+                    // claim-for-claim.
+                    plan.choices.insert(
+                        Vec::new(),
+                        PhysChoice {
+                            op: PhysOp::HashEquiJoin {
+                                left_key: lf.clone(),
+                                right_key: rf.clone(),
+                            },
+                            why: String::new(),
+                            est_rows: None,
                         },
-                    }
-                })
-                .collect();
-            let results = self.run_batch(tasks);
-            self.merge_batch(results)
-        } else {
-            self.broadcast_right(node, path, sa, sb, &rebuild)
-        }
+                    );
+                }
+                Task {
+                    part,
+                    occurrences,
+                    kind: TaskKind::Eval(plan),
+                }
+            })
+            .collect();
+        let results = self.run_batch(tasks);
+        self.merge_batch(results)
     }
 
     /// A node that runs serially on the main thread after its (closed,
@@ -1100,8 +1007,8 @@ impl<'a> Driver<'a> {
 }
 
 /// Hash-partition a multiset of tuples by one field's value.  Only called
-/// after [`usable_equi_key`] has proven every element is a tuple carrying
-/// the field.
+/// after [`key_pair_usable`] (directly, or through [`usable_equi_key`])
+/// has proven every element is a tuple carrying the field.
 fn hash_by_field(s: &MultiSet, field: &str, parts: usize) -> Vec<MultiSet> {
     let parts = parts.max(1);
     let mut out = vec![MultiSet::new(); parts];
@@ -1167,14 +1074,14 @@ mod tests {
         workers: usize,
     ) -> ExecOutcome {
         let mut store = ObjectStore::new();
-        run_parallel(
-            plan,
+        run_parallel_plan(
+            &PhysicalPlan::passthrough(plan.clone()),
             reg,
             &mut store,
             cat,
             None,
             ExecConfig::with_workers(workers),
-            Tracing::Off,
+            false,
         )
         .expect("parallel eval")
     }
@@ -1267,7 +1174,7 @@ mod tests {
             &cat,
             None,
             ExecConfig::with_workers(4),
-            Tracing::Off,
+            false,
         )
         .expect("parallel physical eval");
         assert_eq!(canon(&out.value), canon(&sv));
@@ -1303,7 +1210,7 @@ mod tests {
             &cat,
             None,
             ExecConfig::with_workers(4),
-            Tracing::Off,
+            false,
         )
         .expect("parallel nested-loop eval");
         assert_eq!(canon(&out_nl.value), canon(&sv));
@@ -1369,7 +1276,7 @@ mod tests {
             &cat,
             None,
             ExecConfig::with_workers(4),
-            Tracing::Off,
+            false,
         )
         .expect("parallel columnar scan");
         assert_eq!(canon(&out.value), canon(&sv));
@@ -1388,28 +1295,28 @@ mod tests {
         let plan = Expr::named("Nums").set_apply(Expr::input());
         let plan = Expr::MakeRef(Box::new(plan), "T".into());
         let mut store = ObjectStore::new();
-        let out = run_parallel(
-            &plan,
+        let out = run_parallel_plan(
+            &PhysicalPlan::passthrough(plan.clone()),
             &reg,
             &mut store,
             &cat,
             None,
             ExecConfig::with_workers(4),
-            Tracing::Off,
+            false,
         );
         // REF of an unregistered type errors either way; what matters here
         // is the gate fired before any worker was involved.  Use a plan
         // that is REF-free below the root to check the journal.
         drop(out);
         let plan = Expr::int(1).make_ref("T");
-        let out = run_parallel(
-            &plan,
+        let out = run_parallel_plan(
+            &PhysicalPlan::passthrough(plan.clone()),
             &reg,
             &mut store,
             &cat,
             None,
             ExecConfig::with_workers(4),
-            Tracing::Off,
+            false,
         );
         // A type error from REF is fine; the gate is covered below.
         if let Ok(o) = out {
@@ -1422,14 +1329,14 @@ mod tests {
         let (reg, _, cat) = fixture();
         let plan = Expr::named("Nums").dup_elim();
         let mut store = ObjectStore::new();
-        let out = run_parallel(
-            &plan,
+        let out = run_parallel_plan(
+            &PhysicalPlan::passthrough(plan.clone()),
             &reg,
             &mut store,
             &cat,
             None,
             ExecConfig::serial(),
-            Tracing::Off,
+            false,
         )
         .unwrap();
         assert_eq!(out.report.fallbacks(), 1);
@@ -1444,14 +1351,14 @@ mod tests {
             .dup_elim();
         let (sv, sc) = serial(&plan, &reg, &cat);
         let mut store = ObjectStore::new();
-        let out = run_parallel(
-            &plan,
+        let out = run_parallel_plan(
+            &PhysicalPlan::passthrough(plan.clone()),
             &reg,
             &mut store,
             &cat,
             None,
             ExecConfig::with_workers(3),
-            Tracing::Precise,
+            true,
         )
         .unwrap();
         assert_eq!(canon(&out.value), canon(&sv));

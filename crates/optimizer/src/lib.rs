@@ -20,10 +20,7 @@ pub mod rule;
 pub mod rules;
 pub mod stats;
 
-pub use cost::{
-    cost_of, estimate, estimate_nodes, estimate_parallel, estimate_physical, Estimate,
-    ParallelEstimate, COLUMNAR_DISCOUNT,
-};
+pub use cost::{cost_of, estimate, estimate_nodes, estimate_physical, Estimate, COLUMNAR_DISCOUNT};
 pub use dispatch::{build_switch, build_union, choose, DispatchStrategy, MethodImpl};
 pub use engine::{
     apply_extent_indexes, apply_extent_indexes_journaled, soundness_violation, JournalStep,

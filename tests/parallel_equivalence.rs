@@ -31,7 +31,10 @@ use proptest::prelude::*;
 /// Run `plan` serially on one fresh database and in parallel (under
 /// `cfg`) on another, and assert the results are equal modulo object
 /// identity.  Separate databases keep minted OIDs from one run out of
-/// the other's store.
+/// the other's store.  The parallel run happens twice: once with no
+/// kernel choices (the engine probes join inputs itself) and once on the
+/// plan as the database lowers it — the path `Database::execute` takes
+/// with more than one worker.
 fn assert_equivalent(make_db: impl Fn() -> Database, plan: &Expr, cfg: ExecConfig) {
     let mut serial_db = make_db();
     let serial = serial_db.run_plan(plan).unwrap();
@@ -41,6 +44,14 @@ fn assert_equivalent(make_db: impl Fn() -> Database, plan: &Expr, cfg: ExecConfi
     assert!(
         equal_modulo_identity(&serial, serial_db.store(), &parallel, par_db.store()),
         "plan {plan} diverged under {cfg:?}:\n  serial:   {serial}\n  parallel: {parallel}"
+    );
+    let mut lowered_db = make_db();
+    lowered_db.set_exec_config(cfg);
+    let physical = lowered_db.lower_plan(plan);
+    let lowered = lowered_db.run_plan_physical_parallel(&physical).unwrap();
+    assert!(
+        equal_modulo_identity(&serial, serial_db.store(), &lowered, lowered_db.store()),
+        "lowered plan {plan} diverged under {cfg:?}:\n  serial:  {serial}\n  lowered: {lowered}"
     );
 }
 
